@@ -35,6 +35,7 @@ from .cost import (
     resources,
     score,
 )
+from .engine import priority_encode
 from .generators import (
     FsmGenerator,
     GeneratorState,
@@ -43,13 +44,7 @@ from .generators import (
     streams_equivalent,
 )
 from .max_sorter import MaxSortEngine, max_bit, sort_descending
-from .min_sorter import (
-    MinSortEngine,
-    detection_signal,
-    priority_encode,
-    retrieve_value,
-    sort_ascending,
-)
+from .min_sorter import MinSortEngine, retrieve_value, sort_ascending
 from .trace import CycleTrace, Phase, TraceEvent
 
 __all__ = [
@@ -79,7 +74,6 @@ __all__ = [
     "cost_table",
     "counter_generate",
     "decode",
-    "detection_signal",
     "emission_str",
     "encode_right_aligned",
     "fsm_generate",

@@ -4,6 +4,10 @@ In the unary domain a compare-and-swap block needs no arithmetic: for two
 right-aligned streams, bitwise AND yields the stream of the smaller value
 and bitwise OR the larger, lane by lane.  An N-input network uses
 ``N * log2(N) * (log2(N) + 1) / 4`` CAS blocks.
+
+The three evaluation modes share one AND/OR kernel, :func:`evaluate`: the
+bit-serial mode calls it once per cycle on 0/1 bits, and the whole-stream
+modes call it once on streams packed into integer bitmasks.
 """
 
 from __future__ import annotations
@@ -88,11 +92,26 @@ def build_bitonic_network(n: int) -> CasNetwork:
 
 
 def cas_apply(a: int, b: int, direction: CasDirection) -> tuple[int, int]:
-    """One CAS block on a single bit pair: AND to the min lane, OR to the max."""
+    """One CAS block on two lanes: AND to the min lane, OR to the max.
+
+    A lane is one stream bit, or a whole stream packed into an integer
+    bitmask; the gates are the same either way.
+    """
     low, high = a & b, a | b
     if direction is CasDirection.ASCENDING:
         return low, high
     return high, low
+
+
+def evaluate(network: CasNetwork, lanes: Sequence[int]) -> list[int]:
+    """Carry one value per lane through every CAS block, stage by stage."""
+    lanes = list(lanes)
+    for stage in network.stages:
+        for cas in stage:
+            lanes[cas.lane_a], lanes[cas.lane_b] = cas_apply(
+                lanes[cas.lane_a], lanes[cas.lane_b], cas.direction
+            )
+    return lanes
 
 
 def _validate_inputs(values: Sequence[int], width: int) -> None:
@@ -115,12 +134,7 @@ def batcher_sort(values: Sequence[int], width: int) -> list[int]:
     network = build_bitonic_network(len(values))
     counts = [0] * len(values)
     for t in range(stream_length(width)):
-        lanes = [s.bits[t] for s in streams]
-        for stage in network.stages:
-            for cas in stage:
-                lanes[cas.lane_a], lanes[cas.lane_b] = cas_apply(
-                    lanes[cas.lane_a], lanes[cas.lane_b], cas.direction
-                )
+        lanes = evaluate(network, [s.bits[t] for s in streams])
         for lane, bit in enumerate(lanes):
             counts[lane] += bit
     return counts
@@ -132,31 +146,25 @@ def batcher_sort_batch(values: Sequence[int], width: int) -> list[int]:
     _validate_inputs(values, width)
     network = build_bitonic_network(len(values))
     lanes = [(1 << v) - 1 for v in values]  # bit t set iff t < v, as emitted
-    for stage in network.stages:
-        for cas in stage:
-            a, b = lanes[cas.lane_a], lanes[cas.lane_b]
-            lanes[cas.lane_a], lanes[cas.lane_b] = (
-                (a & b, a | b)
-                if cas.direction is CasDirection.ASCENDING
-                else (a | b, a & b)
-            )
-    return [lane.bit_count() for lane in lanes]
+    return [lane.bit_count() for lane in evaluate(network, lanes)]
 
 
 def sort_streams(
     network: CasNetwork, streams: Sequence[UnaryStream]
 ) -> list[UnaryStream]:
-    """Push whole streams through the network; returns the output streams."""
+    """Push whole streams through the network; returns the output streams.
+
+    Each stream is packed into a bitmask (bit t is the bit of cycle t + 1),
+    so every bit position is sorted on its own, aligned or not.
+    """
     if len(streams) != network.n_inputs:
         raise ValueError("stream count does not match network inputs")
-    lanes = [list(s.bits) for s in streams]
-    for stage in network.stages:
-        for cas in stage:
-            a, b = lanes[cas.lane_a], lanes[cas.lane_b]
-            out_a, out_b = [], []
-            for x, y in zip(a, b):
-                bit_a, bit_b = cas_apply(x, y, cas.direction)
-                out_a.append(bit_a)
-                out_b.append(bit_b)
-            lanes[cas.lane_a], lanes[cas.lane_b] = out_a, out_b
-    return [UnaryStream(tuple(lane)) for lane in lanes]
+    lengths = {len(s) for s in streams}
+    if len(lengths) > 1:
+        raise ValueError(f"streams must have equal lengths, got {sorted(lengths)}")
+    length = lengths.pop()
+    lanes = [sum(bit << t for t, bit in enumerate(s.bits)) for s in streams]
+    return [
+        UnaryStream(tuple((lane >> t) & 1 for t in range(length)))
+        for lane in evaluate(network, lanes)
+    ]

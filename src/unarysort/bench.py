@@ -10,6 +10,7 @@ reproducible regardless of execution order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -51,6 +52,10 @@ class BenchConfig:
             raise ValueError(f"width must be in 1..{MAX_WIDTH}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError(f"mu and sigma must be finite, got {self.mu} and {self.sigma}")
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
 def sample_trial(cfg: BenchConfig, trial: int) -> list[int]:

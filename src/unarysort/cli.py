@@ -7,6 +7,7 @@ oracle comparison fails.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -44,10 +45,40 @@ def _read_values(path: str) -> list[int]:
     return values
 
 
-def _write_or_print(text: str, output: str | None) -> None:
+def _write_files(texts: dict[str, str]) -> None:
+    """Write each text to its path, all of them or none.
+
+    Each text goes to a temporary file in its target's directory first; the
+    temporary files replace their targets only once every write succeeded,
+    so a failed command leaves no partial output behind.
+    """
+    temps: list[Path] = []
+    try:
+        for path, text in texts.items():
+            target = Path(path)
+            temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
+            try:
+                temps[-1].write_text(text, encoding="utf-8")
+            except OSError as exc:  # name the target, not the temporary file
+                raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+        for temp, path in zip(temps, texts):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_or_print(
+    text: str, output: str | None, others: dict[str, str] | None = None
+) -> None:
+    """Write ``text`` to ``output`` (stdout if none) and ``others`` to their
+    paths; no file is written unless every file write succeeds."""
+    files = dict(others or {})
     if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
+        files[output] = text
+    _write_files(files)
+    if not output:
         sys.stdout.write(text)
 
 
@@ -61,22 +92,19 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sort(args) -> int:
+    if args.trace and args.arch == "batcher":
+        raise ValueError("--trace requires an iterative engine (min or max)")
     values = _read_values(args.input)
+    traces = {}
     if args.arch == "batcher":
         outputs = batcher_sort(values, args.m)
-        trace = None
     else:
         engine_cls = MinSortEngine if args.arch == "min" else MaxSortEngine
         engine = engine_cls(values, args.m)
         outputs = engine.run()
-        trace = engine.trace
-    _write_or_print(",".join(str(v) for v in outputs) + "\n", args.output)
-    if args.trace:
-        if trace is None:
-            raise ValueError("--trace requires an iterative engine (min or max)")
-        Path(args.trace).write_text(
-            "\n".join(trace.csv_rows()) + "\n", encoding="utf-8"
-        )
+        if args.trace:
+            traces[args.trace] = "\n".join(engine.trace.csv_rows()) + "\n"
+    _write_or_print(",".join(str(v) for v in outputs) + "\n", args.output, traces)
     if args.check:
         expected = sorted(values, reverse=(args.arch == "max"))
         if outputs != expected:

@@ -2,8 +2,8 @@
 
 One shared M-bit counter descends from ``2**width - 1``; each input drives
 a magnitude comparator, and the first comparator to fire marks the current
-maximum.  Detection, tie draining, and tracing mirror
-:class:`~unarysort.min_sorter.MinSortEngine`; the retrieved value is simply
+maximum.  Detection, tie draining and tracing are the shared
+:class:`~unarysort.engine.IterativeEngine`; the retrieved value is simply
 the counter value at detection.
 """
 
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bitstream import BinaryValue
-from .min_sorter import detection_signal, priority_encode
-from .trace import CycleTrace, Phase, TraceEvent
+from .engine import IterativeEngine
+from .trace import CycleTrace
 
 
 def max_bit(value: int, counter: int) -> int:
@@ -21,7 +20,7 @@ def max_bit(value: int, counter: int) -> int:
     return 1 if value >= counter else 0
 
 
-class MaxSortEngine:
+class MaxSortEngine(IterativeEngine):
     """Cycle-accurate model of the descending-order sorter.
 
     The counter register wraps from 0 to ``2**width - 1`` on its first
@@ -32,84 +31,23 @@ class MaxSortEngine:
     arch = "max"
 
     def __init__(self, values: Sequence[int], width: int):
-        if len(values) < 2:
-            raise ValueError("need at least two inputs to sort")
-        for v in values:
-            BinaryValue(v, width)
-        self.width = width
-        self.n = len(values)
+        super().__init__(values, width)
         self.values = list(values)
         self.counter = 0  # pre-decrement wraps to 2**width - 1 on the first cycle
-        self.detected = [False] * self.n
-        self.masked = [False] * self.n
-        self.pending: list[int] = []
-        self.phase = Phase.SEARCH
-        self.elapsed = 0
-        self.cycle = 0
-        self.out_ptr = 0
-        self.outputs: list[int | None] = [None] * self.n
-        self.trace = CycleTrace(arch=self.arch, n_inputs=self.n)
 
-    @property
-    def done(self) -> bool:
-        return self.out_ptr == self.n
+    # bound in this class body, so that wrapping MaxSortEngine.run (as the
+    # benchmark's per-layer spans do) wraps this sorter and not the min sorter
+    run = IterativeEngine.run
 
-    def tick(self) -> None:
-        if self.done:
-            self.cycle += 1
-            self.trace.append(
-                TraceEvent(self.cycle, Phase.IDLE, self.elapsed, 0, (), ())
-            )
-            return
-        if self.phase is Phase.SEARCH:
-            self._search_cycle()
-        else:
-            self._drain_cycle()
-
-    def _search_cycle(self) -> None:
-        self.cycle += 1
-        self.elapsed += 1
+    def _fire(self) -> tuple[int, ...]:
         self.counter = (self.counter - 1) % (1 << self.width)
-        new_one = [0] * self.n
-        for i, value in enumerate(self.values):
-            if self.masked[i] or self.detected[i]:
-                continue
-            if max_bit(value, self.counter):
-                self.detected[i] = True
-                new_one[i] = 1
-        ds = detection_signal(new_one)
-        newly = tuple(i for i, b in enumerate(new_one) if b)
-        if ds:
-            self.pending = list(newly)
-            self.phase = Phase.DRAIN
-        self.trace.append(
-            TraceEvent(self.cycle, Phase.SEARCH, self.elapsed, ds, newly, ())
+        return tuple(
+            i for i, value in enumerate(self.values)
+            if not self.masked[i] and max_bit(value, self.counter)
         )
 
-    def _drain_cycle(self) -> None:
-        self.cycle += 1
-        onehot = [0] * self.n
-        for i in self.pending:
-            onehot[i] = 1
-        index = priority_encode(onehot)
-        self.pending.remove(index)
-        value = self.counter  # frozen at the detection cycle
-        address = self.out_ptr
-        self.outputs[address] = value
-        self.out_ptr += 1
-        self.masked[index] = True
-        if not self.pending:
-            self.phase = Phase.SEARCH
-        self.trace.append(
-            TraceEvent(
-                self.cycle, Phase.DRAIN, self.elapsed, 0, (), ((address, value),)
-            )
-        )
-
-    def run(self) -> list[int]:
-        while not self.done:
-            self.tick()
-        return list(self.outputs)
+    def _value(self) -> int:
+        return self.counter  # frozen at the detection cycle
 
 
 def sort_descending(

@@ -13,7 +13,12 @@ from unarysort.batcher import (
     cas_count,
     sort_streams,
 )
-from unarysort.bitstream import decode, encode_right_aligned, is_right_aligned
+from unarysort.bitstream import (
+    UnaryStream,
+    decode,
+    encode_right_aligned,
+    is_right_aligned,
+)
 from unarysort.min_sorter import sort_ascending
 
 NETWORK_8 = """\
@@ -141,6 +146,22 @@ class TestSortStreams:
         network = build_bitonic_network(4)
         with pytest.raises(ValueError):
             sort_streams(network, [encode_right_aligned(1, 3)] * 2)
+
+    def test_unequal_lengths_rejected(self):
+        network = build_bitonic_network(2)
+        streams = [encode_right_aligned(3, 2), encode_right_aligned(1, 1)]
+        with pytest.raises(ValueError, match="equal lengths"):
+            sort_streams(network, streams)
+
+    def test_every_bit_position_sorted_exhaustive(self):
+        # streams need not be aligned: each cycle's bits are sorted on their own
+        network = build_bitonic_network(4)
+        for bits in itertools.product((0, 1), repeat=12):
+            streams = [UnaryStream(bits[3 * k:3 * k + 3]) for k in range(4)]
+            outputs = sort_streams(network, streams)
+            for t in range(3):
+                column = [s.bits[t] for s in streams]
+                assert [s.bits[t] for s in outputs] == sorted(column)
 
 
 def test_cas_is_frozen_value_type():

@@ -28,6 +28,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             BenchConfig(dist="file")
 
+    @pytest.mark.parametrize(
+        "mu,sigma",
+        [(float("nan"), 32.0), (float("inf"), 32.0), (128.0, float("nan")),
+         (128.0, float("inf"))],
+    )
+    def test_rejects_non_finite_parameters(self, mu, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            BenchConfig(mu=mu, sigma=sigma)
+
+    def test_rejects_negative_sigma(self):
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            BenchConfig(sigma=-1.0)
+
 
 class TestSampling:
     def test_gaussian_clamped_to_range(self):

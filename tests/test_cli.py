@@ -95,6 +95,39 @@ class TestSort:
         run(["sort", "--input", str(path), "--m", "2", "--output", str(out)])
         assert out.read_text() == "1,2\n"
 
+    def test_unwritable_trace_leaves_no_output(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("4,6,4\n")
+        out = tmp_path / "out.csv"
+        trace = tmp_path / "missing" / "trace.csv"
+        assert run(["sort", "--input", str(path), "--m", "3",
+                    "--output", str(out), "--trace", str(trace)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {trace}: No such file or directory\n"
+
+    def test_batcher_trace_rejected_before_sorting(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("4,6,4,0\n")
+        out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
+        assert run(["sort", "--input", str(path), "--arch", "batcher", "--m", "3",
+                    "--output", str(out), "--trace", str(trace)]) == 1
+        assert "--trace requires" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    def test_output_and_trace_replace_old_files(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("4,6,4\n")
+        out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
+        out.write_text("stale\n")
+        trace.write_text("stale\n")
+        assert run(["sort", "--input", str(path), "--m", "3",
+                    "--output", str(out), "--trace", str(trace)]) == 0
+        assert out.read_text() == "4,4,6\n"
+        assert len(trace.read_text().splitlines()) == 11
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv", "trace.csv"]
+
 
 class TestBench:
     def test_csv_to_stdout(self, capsys):
@@ -124,6 +157,15 @@ class TestBench:
 
     def test_validation_error(self, capsys):
         assert run(["bench", "--n", "1", "--m", "4"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--mu", "nan"], ["--mu", "inf"], ["--sigma", "-1"]]
+    )
+    def test_bad_distribution_parameters_exit_one(self, flags, capsys):
+        assert run(["bench", "--trials", "2"] + flags) == 1
+        err = capsys.readouterr().err
+        # a plain message naming the parameter, not an internal numpy error
+        assert err.startswith("error: ") and "sigma" in err
 
 
 class TestCost:

@@ -2,25 +2,9 @@ import random
 
 import pytest
 
-from unarysort.min_sorter import (
-    MinSortEngine,
-    detection_signal,
-    priority_encode,
-    retrieve_value,
-    sort_ascending,
-)
+from unarysort.engine import priority_encode
+from unarysort.min_sorter import MinSortEngine, retrieve_value, sort_ascending
 from unarysort.trace import Phase
-
-
-class TestDetectionSignal:
-    def test_two_new(self):
-        assert detection_signal((1, 0, 1)) == 2
-
-    def test_none(self):
-        assert detection_signal((0, 0, 0)) == 0
-
-    def test_all(self):
-        assert detection_signal((1,) * 5) == 5
 
 
 class TestPriorityEncode:
