@@ -2,8 +2,9 @@
 
 Inputs 4, 6, 4 at width 3 (0.5, 0.75, 0.5 of full scale).  The two equal
 minima emit their first 0 together in generation cycle 5; the detector
-counts 2, the priority encoder drains them low-index-first, and the values
-are rebuilt from the frozen cycle counter (cycle - 1 = 4).
+counts 2, and the controller drains them one write per cycle with no index
+choice (both hold the value rebuilt from the frozen cycle counter,
+cycle - 1 = 4).
 """
 
 from unarysort import MinSortEngine

@@ -4,20 +4,16 @@ __version__ = "0.1.0"
 
 from .batcher import (
     Cas,
-    CasDirection,
     CasNetwork,
     batcher_sort,
     batcher_sort_batch,
     build_bitonic_network,
-    cas_apply,
     cas_count,
     sort_streams,
 )
 from .bitstream import (
     BinaryValue,
-    StreamAlignment,
     UnaryStream,
-    alignment_of,
     decode,
     emission_str,
     encode_right_aligned,
@@ -35,7 +31,6 @@ from .cost import (
     resources,
     score,
 )
-from .engine import priority_encode
 from .generators import (
     FsmGenerator,
     GeneratorState,
@@ -51,7 +46,6 @@ __all__ = [
     "Architecture",
     "BinaryValue",
     "Cas",
-    "CasDirection",
     "CasNetwork",
     "CycleTrace",
     "DEFAULT_WEIGHTS",
@@ -61,15 +55,12 @@ __all__ = [
     "MinSortEngine",
     "Phase",
     "ResourceCount",
-    "StreamAlignment",
     "TraceEvent",
     "UnaryStream",
     "WeightSet",
-    "alignment_of",
     "batcher_sort",
     "batcher_sort_batch",
     "build_bitonic_network",
-    "cas_apply",
     "cas_count",
     "cost_table",
     "counter_generate",
@@ -80,7 +71,6 @@ __all__ = [
     "gate_equiv",
     "is_right_aligned",
     "max_bit",
-    "priority_encode",
     "resources",
     "retrieve_value",
     "score",

@@ -14,21 +14,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
+from typing import NamedTuple
 
 from .bitstream import BinaryValue, UnaryStream, encode_right_aligned, stream_length
 
 
-class CasDirection(Enum):
-    ASCENDING = "asc"    # smaller value to the lower lane
-    DESCENDING = "desc"  # larger value to the lower lane
+class Cas(NamedTuple):
+    """One CAS block: the AND (the smaller value) goes to lane ``low``, the
+    OR (the larger) to lane ``high``.  A descending block has ``low > high``."""
 
-
-@dataclass(frozen=True)
-class Cas:
-    lane_a: int
-    lane_b: int
-    direction: CasDirection
+    low: int
+    high: int
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,8 @@ class CasNetwork:
         lines = [f"inputs={self.n_inputs} stages={len(self.stages)} cas={self.cas_blocks}"]
         for si, stage in enumerate(self.stages):
             pairs = " ".join(
-                f"({c.lane_a},{c.lane_b},{c.direction.value})" for c in stage
+                f"({min(c)},{max(c)},{'asc' if c.low < c.high else 'desc'})"
+                for c in stage
             )
             lines.append(f"stage {si}: {pairs}")
         return "\n".join(lines)
@@ -77,12 +74,8 @@ def build_bitonic_network(n: int) -> CasNetwork:
             for i in range(n):
                 partner = i ^ j
                 if partner > i:
-                    direction = (
-                        CasDirection.ASCENDING
-                        if (i & k) == 0
-                        else CasDirection.DESCENDING
-                    )
-                    stage.append(Cas(i, partner, direction))
+                    # ascending where bit k of i is clear, descending where set
+                    stage.append(Cas(i, partner) if i & k == 0 else Cas(partner, i))
             stages.append(tuple(stage))
             j //= 2
         k *= 2
@@ -91,26 +84,17 @@ def build_bitonic_network(n: int) -> CasNetwork:
     return network
 
 
-def cas_apply(a: int, b: int, direction: CasDirection) -> tuple[int, int]:
-    """One CAS block on two lanes: AND to the min lane, OR to the max.
+def evaluate(network: CasNetwork, lanes: Sequence[int]) -> list[int]:
+    """Carry one value per lane through every CAS block, stage by stage.
 
     A lane is one stream bit, or a whole stream packed into an integer
-    bitmask; the gates are the same either way.
+    bitmask; each block's AND and OR gates are the same either way.
     """
-    low, high = a & b, a | b
-    if direction is CasDirection.ASCENDING:
-        return low, high
-    return high, low
-
-
-def evaluate(network: CasNetwork, lanes: Sequence[int]) -> list[int]:
-    """Carry one value per lane through every CAS block, stage by stage."""
     lanes = list(lanes)
     for stage in network.stages:
-        for cas in stage:
-            lanes[cas.lane_a], lanes[cas.lane_b] = cas_apply(
-                lanes[cas.lane_a], lanes[cas.lane_b], cas.direction
-            )
+        for low, high in stage:
+            a, b = lanes[low], lanes[high]
+            lanes[low], lanes[high] = a & b, a | b
     return lanes
 
 

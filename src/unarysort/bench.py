@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -153,12 +154,40 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
     )
 
 
+def write_files(texts: dict[str | Path, str]) -> None:
+    """Write each text to its path, all of them or none.
+
+    Each text goes to a temporary file in its target's directory first; the
+    temporary files replace their targets only once every write succeeded,
+    so a failed command leaves no partial output behind.
+    """
+    temps: list[Path] = []
+    try:
+        for path, text in texts.items():
+            target = Path(path)
+            # os.replace onto a directory fails only after the targets
+            # before it were replaced, so refuse it before writing anything
+            if target.is_dir():
+                raise IsADirectoryError(f"cannot write {path}: is a directory")
+            temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
+            try:
+                temps[-1].write_text(text, encoding="utf-8")
+            except OSError as exc:  # name the target, not the temporary file
+                raise OSError(f"cannot write {path}: {exc.strerror}") from exc
+        for temp, path in zip(temps, texts):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def write_bench_csv(result: BenchResult, path: str | Path) -> None:
-    """Write the CSV table plus a JSON metadata sidecar (<path>.meta.json)."""
+    """Write the CSV table plus a JSON metadata sidecar (<path>.meta.json),
+    both or neither."""
     path = Path(path)
-    path.write_text("\n".join(result.csv_rows()) + "\n", encoding="utf-8")
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    sidecar.write_text(
-        json.dumps(result.metadata(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_files({
+        path: "\n".join(result.csv_rows()) + "\n",
+        path.with_suffix(path.suffix + ".meta.json"):
+            json.dumps(result.metadata(), indent=2, sort_keys=True) + "\n",
+    })

@@ -10,22 +10,8 @@ first, see :func:`written_str`) it reads ``0...01...1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 MAX_WIDTH = 32
-
-
-class StreamAlignment(Enum):
-    """Where the ones sit in an aligned stream, in emission order.
-
-    RIGHT_ALIGNED streams emit their ones first; this is the only alignment
-    the generators in this package produce.  LEFT_ALIGNED (ones emitted
-    last) is kept to describe the conventional counter-based generator's
-    output, which arrives in the opposite order.
-    """
-
-    RIGHT_ALIGNED = "right"
-    LEFT_ALIGNED = "left"
 
 
 @dataclass(frozen=True)
@@ -110,18 +96,6 @@ def is_right_aligned(stream: UnaryStream) -> bool:
         elif seen_zero:
             return False
     return True
-
-
-def alignment_of(stream: UnaryStream) -> StreamAlignment | None:
-    """Classify an aligned stream; None if its ones are not contiguous.
-
-    Constant streams (all zeros or all ones) classify as RIGHT_ALIGNED.
-    """
-    if is_right_aligned(stream):
-        return StreamAlignment.RIGHT_ALIGNED
-    if is_right_aligned(UnaryStream(stream.bits[::-1])):
-        return StreamAlignment.LEFT_ALIGNED
-    return None
 
 
 def emission_str(stream: UnaryStream) -> str:

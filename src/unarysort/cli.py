@@ -7,12 +7,17 @@ oracle comparison fails.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 from .batcher import batcher_sort, build_bitonic_network
-from .bench import BenchConfig, OracleMismatch, run_bench, write_bench_csv
+from .bench import (
+    BenchConfig,
+    OracleMismatch,
+    load_trials,
+    run_bench,
+    write_bench_csv,
+    write_files,
+)
 from .bitstream import emission_str, written_str
 from .cost import DEFAULT_WEIGHTS, cost_table
 from .generators import counter_generate, fsm_generate
@@ -34,39 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_values(path: str) -> list[int]:
     # all fields in the file form one input vector; rows are formatting only
-    text = Path(path).read_text(encoding="utf-8")
-    values = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            values.extend(int(field) for field in line.split(","))
-    if not values:
-        raise ValueError(f"no values in {path}")
-    return values
-
-
-def _write_files(texts: dict[str, str]) -> None:
-    """Write each text to its path, all of them or none.
-
-    Each text goes to a temporary file in its target's directory first; the
-    temporary files replace their targets only once every write succeeded,
-    so a failed command leaves no partial output behind.
-    """
-    temps: list[Path] = []
-    try:
-        for path, text in texts.items():
-            target = Path(path)
-            temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
-            try:
-                temps[-1].write_text(text, encoding="utf-8")
-            except OSError as exc:  # name the target, not the temporary file
-                raise OSError(f"cannot write {path}: {exc.strerror}") from exc
-        for temp, path in zip(temps, texts):
-            os.replace(temp, path)
-    except BaseException:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-        raise
+    return [value for row in load_trials(path) for value in row]
 
 
 def _write_or_print(
@@ -77,7 +50,7 @@ def _write_or_print(
     files = dict(others or {})
     if output:
         files[output] = text
-    _write_files(files)
+    write_files(files)
     if not output:
         sys.stdout.write(text)
 

@@ -1,15 +1,15 @@
 """Two-phase controller shared by the iterative sorters.
 
 Both iterative architectures wrap the same hardware around their unary
-number generator: one detection flip-flop and one output mask per input, a
-popcount of the newly latched bits, a priority encoder that picks the write
-order among ties, and the output memory.  The controller alternates two
-phases:
+number generator: one detection flip-flop per input, a popcount of the
+newly latched bits, a priority encoder over the tie group, and the output
+memory.  The controller alternates two phases:
 
-* SEARCH: the generators advance one cycle and every in-play unit whose
+* SEARCH: the generators advance one cycle and every undetected unit whose
   detector fires latches.  Any detection switches to DRAIN.
-* DRAIN: generation stalls and one pending result is written per cycle,
-  lowest index first; the value is read from state frozen at detection.
+* DRAIN: generation stalls and one result is written per cycle until the
+  tie group's count runs out; the value is read from state frozen at
+  detection.
 
 A subclass supplies only the detector: :meth:`IterativeEngine._fire` runs
 one generation cycle and :meth:`IterativeEngine._value` retrieves the
@@ -22,14 +22,6 @@ from collections.abc import Sequence
 
 from .bitstream import BinaryValue
 from .trace import CycleTrace, Phase, TraceEvent
-
-
-def priority_encode(detected: Sequence[int]) -> int:
-    """Lowest set index among the detected bits; ties resolve low-index-first."""
-    for i, b in enumerate(detected):
-        if b:
-            return i
-    raise ValueError("no detection: priority encoder input is all zeros")
 
 
 class IterativeEngine:
@@ -56,10 +48,8 @@ class IterativeEngine:
             BinaryValue(v, width)
         self.width = width
         self.n = len(values)
-        self.detected = [False] * self.n   # detection flip-flops
-        self.masked = [False] * self.n     # written to output; out of play
-        self.pending: list[int] = []       # detected, awaiting their write cycle
-        self.phase = Phase.SEARCH
+        self.detected = [False] * self.n   # detection flip-flops; set means out of play
+        self.pending = 0                   # writes left in the current tie group
         self.elapsed = 0                   # generation cycles; frozen in DRAIN
         self.cycle = 0                     # global clock
         self.out_ptr = 0
@@ -67,7 +57,7 @@ class IterativeEngine:
         self.trace = CycleTrace(arch=self.arch, n_inputs=self.n)
 
     def _fire(self) -> tuple[int, ...]:
-        """Advance the generators one cycle; indices of in-play units that fire."""
+        """Advance the generators one cycle; indices of undetected units that fire."""
         raise NotImplementedError
 
     def _value(self) -> int:
@@ -77,6 +67,11 @@ class IterativeEngine:
     @property
     def done(self) -> bool:
         return self.out_ptr == self.n
+
+    @property
+    def phase(self) -> Phase:
+        """DRAIN while the current tie group has writes left, else SEARCH."""
+        return Phase.DRAIN if self.pending else Phase.SEARCH
 
     def tick(self) -> None:
         """Advance one clock cycle."""
@@ -88,10 +83,10 @@ class IterativeEngine:
                 TraceEvent(self.cycle, Phase.IDLE, self.elapsed, 0, (), ())
             )
             return
-        if self.phase is Phase.SEARCH:
-            self._search_cycle()
-        else:
+        if self.pending:
             self._drain_cycle()
+        else:
+            self._search_cycle()
 
     def _search_cycle(self) -> None:
         self.cycle += 1
@@ -99,27 +94,21 @@ class IterativeEngine:
         newly = self._fire()
         for i in newly:
             self.detected[i] = True
-        if newly:
-            self.pending = list(newly)
-            self.phase = Phase.DRAIN
+        self.pending = len(newly)
         self.trace.append(
             TraceEvent(self.cycle, Phase.SEARCH, self.elapsed, len(newly), newly, ())
         )
 
     def _drain_cycle(self) -> None:
+        # tied units hold one value and generation stalls while they drain,
+        # so which of them the priority encoder picks changes no output and
+        # no trace event; the count alone is modelled (cost.py counts the encoder)
         self.cycle += 1
-        onehot = [0] * self.n
-        for i in self.pending:
-            onehot[i] = 1
-        index = priority_encode(onehot)
-        self.pending.remove(index)
+        self.pending -= 1
         value = self._value()
         address = self.out_ptr
         self.outputs[address] = value
         self.out_ptr += 1
-        self.masked[index] = True
-        if not self.pending:
-            self.phase = Phase.SEARCH
         self.trace.append(
             TraceEvent(
                 self.cycle, Phase.DRAIN, self.elapsed, 0, (), ((address, value),)

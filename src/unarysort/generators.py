@@ -18,8 +18,8 @@ from enum import Enum
 from .bitstream import (
     BinaryValue,
     UnaryStream,
-    alignment_of,
     decode,
+    is_right_aligned,
     stream_length,
 )
 
@@ -102,6 +102,9 @@ def streams_equivalent(a: UnaryStream, b: UnaryStream) -> bool:
         raise ValueError(f"stream lengths differ: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise ValueError("empty streams cannot be compared")
-    if alignment_of(a) is None or alignment_of(b) is None:
-        return False
-    return decode(a).value == decode(b).value
+    # aligned means ones first or ones last: right-aligned one way round
+    aligned = all(
+        is_right_aligned(s) or is_right_aligned(UnaryStream(s.bits[::-1]))
+        for s in (a, b)
+    )
+    return aligned and decode(a).value == decode(b).value

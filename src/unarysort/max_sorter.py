@@ -43,7 +43,7 @@ class MaxSortEngine(IterativeEngine):
         self.counter = (self.counter - 1) % (1 << self.width)
         return tuple(
             i for i, value in enumerate(self.values)
-            if not self.masked[i] and max_bit(value, self.counter)
+            if not self.detected[i] and max_bit(value, self.counter)
         )
 
     def _value(self) -> int:

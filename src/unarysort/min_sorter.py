@@ -56,7 +56,7 @@ class MinSortEngine(IterativeEngine):
     def _fire(self) -> tuple[int, ...]:
         return tuple(
             i for i, unit in enumerate(self.units)
-            if not self.masked[i] and unit.step() == 0
+            if not self.detected[i] and unit.step() == 0
         )
 
     def _value(self) -> int:

@@ -43,9 +43,6 @@ class CycleTrace:
         """All (address, value) pairs in write order."""
         return [w for e in self.events for w in e.writes]
 
-    def write_events(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.writes]
-
     @property
     def complete(self) -> bool:
         return len(self.writes()) == self.n_inputs

@@ -1,16 +1,17 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from unarysort.batcher import (
     Cas,
-    CasDirection,
+    CasNetwork,
     batcher_sort,
     batcher_sort_batch,
     build_bitonic_network,
-    cas_apply,
     cas_count,
+    evaluate,
     sort_streams,
 )
 from unarysort.bitstream import (
@@ -57,7 +58,7 @@ class TestNetworkStructure:
     def test_no_lane_twice_per_stage(self):
         for n in (2, 4, 8, 16, 32):
             for stage in build_bitonic_network(n).stages:
-                lanes = [lane for cas in stage for lane in (cas.lane_a, cas.lane_b)]
+                lanes = [lane for pair in stage for lane in pair]
                 assert len(lanes) == len(set(lanes))
 
     def test_golden_topology(self):
@@ -68,17 +69,22 @@ class TestNetworkStructure:
             build_bitonic_network(6)
 
 
+def one_block(cas: Cas) -> CasNetwork:
+    return CasNetwork(n_inputs=2, stages=((cas,),))
+
+
 class TestCasApply:
     @pytest.mark.parametrize(
         "a,b,expected",
         [(0, 0, (0, 0)), (0, 1, (0, 1)), (1, 0, (0, 1)), (1, 1, (1, 1))],
     )
     def test_ascending_truth_table(self, a, b, expected):
-        assert cas_apply(a, b, CasDirection.ASCENDING) == expected
+        assert evaluate(one_block(Cas(0, 1)), [a, b]) == list(expected)
 
     def test_descending_swaps(self):
-        assert cas_apply(1, 0, CasDirection.DESCENDING) == (1, 0)
-        assert cas_apply(0, 1, CasDirection.DESCENDING) == (1, 0)
+        # low > high: the AND lands on lane 1 and the OR on lane 0
+        assert evaluate(one_block(Cas(1, 0)), [1, 0]) == [1, 0]
+        assert evaluate(one_block(Cas(1, 0)), [0, 1]) == [1, 0]
 
     def test_streams_split_to_min_and_max(self):
         a = encode_right_aligned(4, 3)
@@ -119,6 +125,24 @@ class TestBatcherSort:
         for n in (4, 8):
             for bits in itertools.product((0, 1), repeat=n):
                 assert batcher_sort(list(bits), 1) == sorted(bits)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_zero_one_proof_bitsliced(self, n):
+        # bit j of lane i is bit i of j, so one evaluate call carries all 2**n
+        # zero-one vectors: lane i repeats 2**i zeros then 2**i ones
+        everything = (1 << (1 << n)) - 1
+        lanes = [
+            everything // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+            for i in range(n)
+        ]
+        out = evaluate(build_bitonic_network(n), lanes)
+        # vector j is sorted iff no lane holds a 1 that the lane above lacks
+        assert all(out[i] & ~out[i + 1] == 0 for i in range(n - 1))
+        # and no 1 is lost or made: lane i is 1 in every vector with at
+        # least n - i ones
+        assert [lane.bit_count() for lane in out] == [
+            sum(math.comb(n, k) for k in range(n - i, n + 1)) for i in range(n)
+        ]
 
     def test_serial_equals_batch(self):
         rng = random.Random(23)
@@ -165,7 +189,7 @@ class TestSortStreams:
 
 
 def test_cas_is_frozen_value_type():
-    cas = Cas(0, 1, CasDirection.ASCENDING)
-    assert cas == Cas(0, 1, CasDirection.ASCENDING)
+    cas = Cas(0, 1)
+    assert cas == Cas(0, 1) and cas != Cas(1, 0)
     with pytest.raises(AttributeError):
-        cas.lane_a = 2
+        cas.low = 2

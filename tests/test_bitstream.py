@@ -2,9 +2,7 @@ import pytest
 
 from unarysort.bitstream import (
     BinaryValue,
-    StreamAlignment,
     UnaryStream,
-    alignment_of,
     decode,
     emission_str,
     encode_right_aligned,
@@ -81,13 +79,6 @@ class TestAlignment:
     )
     def test_is_right_aligned(self, bits, expected):
         assert is_right_aligned(UnaryStream(bits)) is expected
-
-    def test_alignment_of(self):
-        assert alignment_of(UnaryStream((1, 1, 0, 0))) is StreamAlignment.RIGHT_ALIGNED
-        assert alignment_of(UnaryStream((0, 0, 1, 1))) is StreamAlignment.LEFT_ALIGNED
-        assert alignment_of(UnaryStream((1, 0, 1, 0))) is None
-        # constant streams classify as right-aligned
-        assert alignment_of(UnaryStream((0, 0))) is StreamAlignment.RIGHT_ALIGNED
 
 
 class TestDisplay:

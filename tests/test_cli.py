@@ -107,6 +107,17 @@ class TestSort:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {trace}: No such file or directory\n"
 
+    def test_output_directory_leaves_no_trace(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("4,6,4\n")
+        out, trace = tmp_path / "out", tmp_path / "trace.csv"
+        out.mkdir()
+        assert run(["sort", "--input", str(path), "--m", "3",
+                    "--output", str(out), "--trace", str(trace)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out"]
+        assert not any(out.iterdir())
+
     def test_batcher_trace_rejected_before_sorting(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
         path.write_text("4,6,4,0\n")
@@ -148,6 +159,15 @@ class TestBench:
         assert a.read_bytes() == b.read_bytes()
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert meta["trials"] == 50
+
+    def test_unwritable_sidecar_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        (tmp_path / "b.csv.meta.json").mkdir()
+        assert run(["bench", "--n", "4", "--m", "4", "--trials", "5",
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv.meta.json"]
+        assert not any((tmp_path / "b.csv.meta.json").iterdir())
 
     def test_check_flag(self):
         assert run(

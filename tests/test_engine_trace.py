@@ -2,10 +2,12 @@
 
 Every input vector with N in {2, 3, 4} and m in {1, 2, 3} is sorted by both
 engines (10,072 runs), and each run's ``trace.events`` must equal the list
-built here from the detection-time laws alone.
+built here from the detection-time laws alone.  Seeded wide vectors with
+few distinct values add tie groups of up to hundreds of inputs.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -48,3 +50,19 @@ def test_every_small_vector(engine_cls):
                 ), (engine_cls.arch, values, width)
                 runs += 1
     assert runs == 5036
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_seeded_tie_heavy_vectors(engine_cls):
+    # at most 2**m distinct values over N inputs: every group drains N / 2**m
+    # writes on average, and m=1, N=256 drains groups of about 128
+    rng = random.Random(41)
+    for n in (16, 64, 256):
+        for width in (1, 2, 3, 4):
+            for _ in range(50):
+                values = [rng.randrange(1 << width) for _ in range(n)]
+                engine = engine_cls(values, width)
+                engine.run()
+                assert engine.trace.events == expected_events(
+                    engine_cls.arch, values, width
+                ), (engine_cls.arch, values, width)

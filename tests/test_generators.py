@@ -134,6 +134,9 @@ class TestStreamsEquivalent:
         assert not streams_equivalent(
             UnaryStream((1, 0, 1, 0)), UnaryStream((1, 1, 0, 0))
         )
+        assert not streams_equivalent(
+            UnaryStream((0, 0, 1, 1)), UnaryStream((0, 1, 0, 1))
+        )
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

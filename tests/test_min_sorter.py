@@ -2,21 +2,8 @@ import random
 
 import pytest
 
-from unarysort.engine import priority_encode
 from unarysort.min_sorter import MinSortEngine, retrieve_value, sort_ascending
 from unarysort.trace import Phase
-
-
-class TestPriorityEncode:
-    def test_lowest_index_wins(self):
-        assert priority_encode((1, 0, 1)) == 0
-
-    def test_single(self):
-        assert priority_encode((0, 0, 1)) == 2
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="no detection"):
-            priority_encode((0, 0, 0))
 
 
 class TestRetrieveValue:
@@ -54,7 +41,7 @@ class TestEngineConstruction:
         assert [u.remainder for u in engine.units] == [4, 6, 4]
         assert engine.elapsed == 0
         assert engine.phase is Phase.SEARCH
-        assert not any(engine.detected) and not any(engine.masked)
+        assert not any(engine.detected) and engine.pending == 0
 
     def test_zero_inputs_start_inactive(self):
         engine = MinSortEngine([0, 0], 3)
