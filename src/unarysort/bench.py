@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -53,6 +54,8 @@ class BenchConfig:
             raise ValueError(f"width must be in 1..{MAX_WIDTH}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValueError(f"mu and sigma must be finite, got {self.mu} and {self.sigma}")
         if self.sigma < 0:
@@ -71,13 +74,26 @@ def sample_trial(cfg: BenchConfig, trial: int) -> list[int]:
     raise ValueError("file trials are loaded, not sampled")
 
 
+def parse_ints(text: str, source: str) -> list[int]:
+    """The integers in a comma-separated list; an error names ``source``
+    (a file and line, or a flag) and the bad field."""
+    values = []
+    for field in text.split(","):
+        try:
+            values.append(int(field))
+        except ValueError:
+            raise ValueError(f"{source}: not an integer: {field.strip()!r}") from None
+    return values
+
+
 def load_trials(path: str | Path) -> list[list[int]]:
     """One input vector per CSV row; rows become trials."""
     vectors = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if line:
-            vectors.append([int(field) for field in line.split(",")])
+            vectors.append(parse_ints(line, f"{path} line {number}"))
     if not vectors:
         raise ValueError(f"no input vectors in {path}")
     return vectors
@@ -154,27 +170,34 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
     )
 
 
-def write_files(texts: dict[str | Path, str]) -> None:
-    """Write each text to its path, all of them or none.
+def write_files(texts: Sequence[tuple[str | Path, str]]) -> None:
+    """Write each (path, text) pair, all of them or none.
 
     Each text goes to a temporary file in its target's directory first; the
     temporary files replace their targets only once every write succeeded,
     so a failed command leaves no partial output behind.
     """
+    # refuse bad targets before writing anything: os.replace onto a
+    # directory fails only after the targets before it were replaced, and
+    # two spellings of one file would share a temporary file
+    seen: dict[Path, str | Path] = {}
+    for path, _ in texts:
+        target = Path(path).resolve()
+        if target in seen:
+            raise ValueError(f"cannot write {path}: {seen[target]} names the same file")
+        if target.is_dir():
+            raise IsADirectoryError(f"cannot write {path}: is a directory")
+        seen[target] = path
     temps: list[Path] = []
     try:
-        for path, text in texts.items():
+        for path, text in texts:
             target = Path(path)
-            # os.replace onto a directory fails only after the targets
-            # before it were replaced, so refuse it before writing anything
-            if target.is_dir():
-                raise IsADirectoryError(f"cannot write {path}: is a directory")
             temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
             try:
                 temps[-1].write_text(text, encoding="utf-8")
             except OSError as exc:  # name the target, not the temporary file
                 raise OSError(f"cannot write {path}: {exc.strerror}") from exc
-        for temp, path in zip(temps, texts):
+        for temp, (path, _) in zip(temps, texts):
             os.replace(temp, path)
     except BaseException:
         for temp in temps:
@@ -186,8 +209,8 @@ def write_bench_csv(result: BenchResult, path: str | Path) -> None:
     """Write the CSV table plus a JSON metadata sidecar (<path>.meta.json),
     both or neither."""
     path = Path(path)
-    write_files({
-        path: "\n".join(result.csv_rows()) + "\n",
-        path.with_suffix(path.suffix + ".meta.json"):
-            json.dumps(result.metadata(), indent=2, sort_keys=True) + "\n",
-    })
+    write_files([
+        (path, "\n".join(result.csv_rows()) + "\n"),
+        (path.with_suffix(path.suffix + ".meta.json"),
+         json.dumps(result.metadata(), indent=2, sort_keys=True) + "\n"),
+    ])

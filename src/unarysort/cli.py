@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 
 from .batcher import batcher_sort, build_bitonic_network
 from .bench import (
     BenchConfig,
     OracleMismatch,
     load_trials,
+    parse_ints,
     run_bench,
     write_bench_csv,
     write_files,
@@ -43,14 +45,11 @@ def _read_values(path: str) -> list[int]:
 
 
 def _write_or_print(
-    text: str, output: str | None, others: dict[str, str] | None = None
+    text: str, output: str | None, others: Sequence[tuple[str, str]] = ()
 ) -> None:
-    """Write ``text`` to ``output`` (stdout if none) and ``others`` to their
-    paths; no file is written unless every file write succeeds."""
-    files = dict(others or {})
-    if output:
-        files[output] = text
-    write_files(files)
+    """Write ``text`` to ``output`` (stdout if none) and each (path, text)
+    of ``others``; no file is written unless every file write succeeds."""
+    write_files([*others, (output, text)] if output else others)
     if not output:
         sys.stdout.write(text)
 
@@ -68,7 +67,7 @@ def cmd_sort(args) -> int:
     if args.trace and args.arch == "batcher":
         raise ValueError("--trace requires an iterative engine (min or max)")
     values = _read_values(args.input)
-    traces = {}
+    traces = []
     if args.arch == "batcher":
         outputs = batcher_sort(values, args.m)
     else:
@@ -76,7 +75,7 @@ def cmd_sort(args) -> int:
         engine = engine_cls(values, args.m)
         outputs = engine.run()
         if args.trace:
-            traces[args.trace] = "\n".join(engine.trace.csv_rows()) + "\n"
+            traces.append((args.trace, "\n".join(engine.trace.csv_rows()) + "\n"))
     _write_or_print(",".join(str(v) for v in outputs) + "\n", args.output, traces)
     if args.check:
         expected = sorted(values, reverse=(args.arch == "max"))
@@ -111,8 +110,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    ns = tuple(int(v) for v in args.n.split(","))
-    ms = tuple(int(v) for v in args.m.split(","))
+    ns = tuple(parse_ints(args.n, "--n"))
+    ms = tuple(parse_ints(args.m, "--m"))
     rows = cost_table(ns, ms, DEFAULT_WEIGHTS)
     lines = ["n,m,min_sorter,max_sorter,batcher,cas_blocks,ordering_ok"]
     for row in rows:

@@ -12,17 +12,16 @@ Counting conventions, per architecture with N inputs of width M:
   decrements them in place, the comparator design holds them for compare
   and readout), N detection flip-flops, N*M output memory bits, one M-bit
   cycle counter (generation counter vs shared down counter), an N-input
-  detection adder, an N-input priority encoder, and pointer/controller
-  bits.
-* Min sorter (FSM generators): per input an M-bit conditional-decrement
-  ripple (counted as comparator-class cells; a borrow chain and a compare
-  chain are the same granularity) and an M-input OR-reduction tree; plus
-  one shared M-bit adder that rebuilds the detected value from the cycle
-  counter.  No value multiplexer: values come from the adder.
-* Max sorter (comparator generators): per input an M-bit magnitude
-  comparator (comparator cells plus its M-input combine chain, mirrored as
-  OR inputs) and, because values are read out of the input registers, an
-  N-to-1 M-bit-wide value multiplexer.
+  detection adder, an N-input priority encoder, pointer/controller bits,
+  and per input M comparator-class cells and M OR inputs: the FSM design's
+  conditional-decrement ripple and OR-reduction tree, or the comparator
+  design's magnitude comparator and its combine chain (a borrow chain and
+  a compare chain are the same granularity).
+* Min sorter (FSM generators) adds one shared M-bit adder that rebuilds
+  the detected value from the cycle counter.  No value multiplexer: values
+  come from the adder.
+* Max sorter (comparator generators) adds, because values are read out of
+  the input registers, an N-to-1 M-bit-wide value multiplexer.
 * Batcher network: the CAS blocks plus the 2N stream endpoints it cannot
   work without: N comparator-based generators feeding the lanes, one
   shared counter, and N output counters plus output registers to convert
@@ -89,11 +88,6 @@ class WeightSet:
             if w <= 0:
                 raise ValueError(f"{name} must be > 0, got {w}")
 
-    def scaled(self, factor: float) -> "WeightSet":
-        return replace(
-            self, **{name: w * factor for name, w in vars(self).items()}
-        )
-
 
 DEFAULT_WEIGHTS = WeightSet()
 
@@ -105,41 +99,9 @@ def _validate_config(n: int, m: int) -> None:
         raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {m}")
 
 
-def _sorter_common(n: int, m: int) -> ResourceCount:
-    pointer_bits = math.ceil(math.log2(n)) + 1
-    return ResourceCount(
-        registers_bits=(
-            n * m        # value registers
-            + n          # detection flip-flops
-            + n * m      # output memory
-            + m          # cycle counter
-            + pointer_bits
-            + 1          # controller state
-        ),
-        adder_bits=n + m,  # detection adder tree, cycle-counter increment
-        encoder_inputs=n,
-    )
-
-
 def resources(arch: Architecture, n: int, m: int) -> ResourceCount:
     """Block counts for one architecture at configuration (N, M)."""
     _validate_config(n, m)
-    if arch is Architecture.MIN_SORTER:
-        base = _sorter_common(n, m)
-        return replace(
-            base,
-            comparator_bits=n * m,          # conditional-decrement ripples
-            or_inputs=n * m,                # per-unit OR-reduction trees
-            adder_bits=base.adder_bits + m,  # value-retrieval adder
-        )
-    if arch is Architecture.MAX_SORTER:
-        base = _sorter_common(n, m)
-        return replace(
-            base,
-            comparator_bits=n * m,  # magnitude comparators
-            or_inputs=n * m,        # their combine chains
-            mux_inputs=n * m,       # value readout mux
-        )
     if arch is Architecture.BATCHER:
         if n & (n - 1):
             raise ValueError(f"Batcher input count must be a power of two, got {n}")
@@ -155,7 +117,26 @@ def resources(arch: Architecture, n: int, m: int) -> ResourceCount:
             or_inputs=n * m,        # comparator combine chains
             cas_blocks=cas_count(n),
         )
-    raise ValueError(f"unknown architecture: {arch!r}")
+    if arch not in (Architecture.MIN_SORTER, Architecture.MAX_SORTER):
+        raise ValueError(f"unknown architecture: {arch!r}")
+    common = ResourceCount(
+        registers_bits=(
+            n * m        # value registers
+            + n          # detection flip-flops
+            + n * m      # output memory
+            + m          # cycle counter
+            + math.ceil(math.log2(n)) + 1  # output pointer
+            + 1          # controller state
+        ),
+        adder_bits=n + m,       # detection adder tree, cycle-counter increment
+        comparator_bits=n * m,  # decrement ripples or magnitude comparators
+        or_inputs=n * m,        # OR-reduction trees or comparator combine chains
+        encoder_inputs=n,
+    )
+    if arch is Architecture.MIN_SORTER:
+        # value-retrieval adder
+        return replace(common, adder_bits=common.adder_bits + m)
+    return replace(common, mux_inputs=n * m)  # value readout mux
 
 
 def gate_equiv(rc: ResourceCount, weights: WeightSet = DEFAULT_WEIGHTS) -> float:

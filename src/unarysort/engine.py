@@ -3,13 +3,16 @@
 Both iterative architectures wrap the same hardware around their unary
 number generator: one detection flip-flop per input, a popcount of the
 newly latched bits, a priority encoder over the tie group, and the output
-memory.  The controller alternates two phases:
+memory.  Each clock edge is one :meth:`IterativeEngine.tick`, which runs
+one of three phases and logs one trace event:
 
 * SEARCH: the generators advance one cycle and every undetected unit whose
   detector fires latches.  Any detection switches to DRAIN.
 * DRAIN: generation stalls and one result is written per cycle until the
   tie group's count runs out; the value is read from state frozen at
   detection.
+* IDLE: every result has been written; the clock still counts and the
+  tick is logged, but nothing else changes.
 
 A subclass supplies only the detector: :meth:`IterativeEngine._fire` runs
 one generation cycle and :meth:`IterativeEngine._value` retrieves the
@@ -75,45 +78,30 @@ class IterativeEngine:
 
     def tick(self) -> None:
         """Advance one clock cycle."""
+        self.cycle += 1
+        newly, writes = (), ()
         if self.done:
-            # post-completion ticks are no-ops, flagged in the trace; the
-            # clock itself keeps counting
-            self.cycle += 1
-            self.trace.append(
-                TraceEvent(self.cycle, Phase.IDLE, self.elapsed, 0, (), ())
-            )
-            return
-        if self.pending:
-            self._drain_cycle()
+            # post-completion ticks are no-ops, flagged in the trace
+            phase = Phase.IDLE
+        elif self.pending:
+            # tied units hold one value and generation stalls while they
+            # drain, so which of them the priority encoder picks changes no
+            # output and no trace event; the count alone is modelled
+            # (cost.py counts the encoder)
+            phase = Phase.DRAIN
+            self.pending -= 1
+            value = self._value()
+            writes = ((self.out_ptr, value),)
+            self.outputs[self.out_ptr] = value
+            self.out_ptr += 1
         else:
-            self._search_cycle()
-
-    def _search_cycle(self) -> None:
-        self.cycle += 1
-        self.elapsed += 1
-        newly = self._fire()
-        for i in newly:
-            self.detected[i] = True
-        self.pending = len(newly)
-        self.trace.append(
-            TraceEvent(self.cycle, Phase.SEARCH, self.elapsed, len(newly), newly, ())
-        )
-
-    def _drain_cycle(self) -> None:
-        # tied units hold one value and generation stalls while they drain,
-        # so which of them the priority encoder picks changes no output and
-        # no trace event; the count alone is modelled (cost.py counts the encoder)
-        self.cycle += 1
-        self.pending -= 1
-        value = self._value()
-        address = self.out_ptr
-        self.outputs[address] = value
-        self.out_ptr += 1
-        self.trace.append(
-            TraceEvent(
-                self.cycle, Phase.DRAIN, self.elapsed, 0, (), ((address, value),)
-            )
-        )
+            phase = Phase.SEARCH
+            self.elapsed += 1
+            newly = self._fire()
+            for i in newly:
+                self.detected[i] = True
+            self.pending = len(newly)
+        self.trace.append(TraceEvent(self.cycle, phase, self.elapsed, newly, writes))
 
     def run(self) -> list[int]:
         """Tick until every input has been written; returns the sorted outputs."""

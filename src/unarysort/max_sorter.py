@@ -23,8 +23,8 @@ def max_bit(value: int, counter: int) -> int:
 class MaxSortEngine(IterativeEngine):
     """Cycle-accurate model of the descending-order sorter.
 
-    The counter register wraps from 0 to ``2**width - 1`` on its first
-    decrement after load and decrements once per search cycle, frozen while
+    The shared down counter is ``2**width - elapsed``: ``2**width - 1`` in
+    the first search cycle, one less in each one after, and frozen while
     results drain, so it still holds the detected value during the writes.
     """
 
@@ -33,17 +33,21 @@ class MaxSortEngine(IterativeEngine):
     def __init__(self, values: Sequence[int], width: int):
         super().__init__(values, width)
         self.values = list(values)
-        self.counter = 0  # pre-decrement wraps to 2**width - 1 on the first cycle
 
     # bound in this class body, so that wrapping MaxSortEngine.run (as the
     # benchmark's per-layer spans do) wraps this sorter and not the min sorter
     run = IterativeEngine.run
 
+    @property
+    def counter(self) -> int:
+        """The shared down counter."""
+        return (1 << self.width) - self.elapsed
+
     def _fire(self) -> tuple[int, ...]:
-        self.counter = (self.counter - 1) % (1 << self.width)
+        counter = self.counter
         return tuple(
             i for i, value in enumerate(self.values)
-            if not self.detected[i] and max_bit(value, self.counter)
+            if not self.detected[i] and max_bit(value, counter)
         )
 
     def _value(self) -> int:

@@ -15,12 +15,16 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class TraceEvent:
-    cycle: int                          # global clock, counts every non-idle tick
+    cycle: int                          # global clock, one per tick (idle ones too)
     phase: Phase
     elapsed: int                        # generation cycles so far (frozen in DRAIN)
-    detected_count: int                 # inputs newly detected this cycle
-    detected: tuple[int, ...]           # their indices
+    detected: tuple[int, ...]           # indices of inputs newly detected this cycle
     writes: tuple[tuple[int, int], ...]  # (output address, value) pairs
+
+    @property
+    def detected_count(self) -> int:
+        """Popcount of the newly latched detection flip-flops."""
+        return len(self.detected)
 
 
 CSV_HEADER = "arch,cycle,state,detected_count,detected_indices,writes"

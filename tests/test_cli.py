@@ -118,6 +118,27 @@ class TestSort:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out"]
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("output", ["o.csv", "./o.csv"])
+    def test_output_and_trace_naming_one_file_refused(
+        self, tmp_path, monkeypatch, capsys, output
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.csv").write_text("4,6,4\n")
+        assert run(["sort", "--input", "in.csv", "--m", "3",
+                    "--output", output, "--trace", "o.csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {output}: o.csv names the same file\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    def test_non_integer_field_names_file_and_field(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("2,3\n1,x\n")
+        assert run(["sort", "--input", str(path), "--m", "3"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} line 2: not an integer: 'x'\n"
+        )
+
     def test_batcher_trace_rejected_before_sorting(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
         path.write_text("4,6,4,0\n")
@@ -179,13 +200,23 @@ class TestBench:
         assert run(["bench", "--n", "1", "--m", "4"]) == 1
 
     @pytest.mark.parametrize(
-        "flags", [["--mu", "nan"], ["--mu", "inf"], ["--sigma", "-1"]]
+        "flags",
+        [["--mu", "nan"], ["--mu", "inf"], ["--sigma", "-1"], ["--seed", "-3"]],
     )
     def test_bad_distribution_parameters_exit_one(self, flags, capsys):
         assert run(["bench", "--trials", "2"] + flags) == 1
         err = capsys.readouterr().err
         # a plain message naming the parameter, not an internal numpy error
-        assert err.startswith("error: ") and "sigma" in err
+        assert err.startswith("error: ") and flags[0][2:] in err
+
+    def test_bad_row_in_input_file(self, tmp_path, capsys):
+        path = tmp_path / "vectors.csv"
+        path.write_text("1,2,3\n4,,6\n")
+        assert run(["bench", "--dist", "file", "--input", str(path),
+                    "--m", "3"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} line 2: not an integer: ''\n"
+        )
 
 
 class TestCost:
@@ -194,6 +225,12 @@ class TestCost:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("n,m,")
         assert len(lines) == 19  # header + 6x3 grid
+
+    def test_empty_entry_names_flag(self, capsys):
+        assert run(["cost", "--n", ",8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --n: not an integer: ''\n"
 
     def test_single_cell(self, capsys):
         assert run(["cost", "--n", "8", "--m", "8"]) == 0

@@ -42,6 +42,18 @@ class TestResourceCount:
         with pytest.raises(ValueError):
             resources(Architecture.BATCHER, 6, 8)
 
+    @pytest.mark.parametrize(
+        "n,m", GRID + [(2, m) for m in TABLE_M] + [(n, 1) for n in TABLE_N]
+    )
+    def test_iterative_sorters_differ_only_in_value_readout(self, n, m):
+        # the min sorter rebuilds the value with an M-bit adder, the max
+        # sorter reads it out through an N*M-input mux; all else is shared
+        lo = vars(resources(Architecture.MIN_SORTER, n, m))
+        hi = vars(resources(Architecture.MAX_SORTER, n, m))
+        assert {k for k in lo if lo[k] != hi[k]} == {"adder_bits", "mux_inputs"}
+        assert lo["adder_bits"] - hi["adder_bits"] == m
+        assert (lo["mux_inputs"], hi["mux_inputs"]) == (0, n * m)
+
     def test_min_sorter_has_no_value_mux(self):
         rc = resources(Architecture.MIN_SORTER, 8, 8)
         assert rc.mux_inputs == 0
@@ -58,9 +70,10 @@ class TestWeightSet:
 
     def test_linearity(self):
         rc = resources(Architecture.MIN_SORTER, 8, 16)
-        assert gate_equiv(rc, DEFAULT_WEIGHTS.scaled(2.0)) == pytest.approx(
-            2 * gate_equiv(rc)
+        doubled = WeightSet(
+            **{name: 2 * w for name, w in vars(DEFAULT_WEIGHTS).items()}
         )
+        assert gate_equiv(rc, doubled) == pytest.approx(2 * gate_equiv(rc))
 
 
 class TestOrdering:

@@ -27,11 +27,11 @@ def expected_events(arch: str, values: list[int], width: int) -> list[TraceEvent
     for elapsed in range(1, max(detect_at) + 1):
         group = tuple(i for i, t in enumerate(detect_at) if t == elapsed)
         cycle += 1
-        events.append(TraceEvent(cycle, Phase.SEARCH, elapsed, len(group), group, ()))
+        events.append(TraceEvent(cycle, Phase.SEARCH, elapsed, group, ()))
         for i in group:
             cycle += 1
             events.append(
-                TraceEvent(cycle, Phase.DRAIN, elapsed, 0, (), ((address, values[i]),))
+                TraceEvent(cycle, Phase.DRAIN, elapsed, (), ((address, values[i]),))
             )
             address += 1
     return events

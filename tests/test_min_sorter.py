@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine, retrieve_value, sort_ascending
-from unarysort.trace import Phase
+from unarysort.trace import Phase, TraceEvent
 
 
 class TestRetrieveValue:
@@ -74,15 +75,20 @@ class TestWorkedExample:
         ]
         assert engine.trace.total_cycles() == 10
 
-    def test_tick_after_completion_is_flagged_noop(self):
-        engine = MinSortEngine([4, 6, 4], 3)
+    @pytest.mark.parametrize(
+        "engine_cls,cycles",
+        [pytest.param(MinSortEngine, 10, id="min"),
+         pytest.param(MaxSortEngine, 7, id="max")],
+    )
+    def test_tick_after_completion_is_flagged_noop(self, engine_cls, cycles):
+        engine = engine_cls([4, 6, 4], 3)
         engine.run()
-        before = list(engine.outputs)
+        before, elapsed = list(engine.outputs), engine.elapsed
         engine.tick()
         idle = engine.trace.events[-1]
-        assert idle.phase is Phase.IDLE and idle.cycle == 11
-        assert engine.outputs == before
-        assert engine.trace.total_cycles() == 10  # idle ticks not charged
+        assert idle == TraceEvent(cycles + 1, Phase.IDLE, elapsed, (), ())
+        assert engine.outputs == before and engine.elapsed == elapsed
+        assert engine.trace.total_cycles() == cycles  # idle ticks not charged
 
     def test_zero_detected_first_tick(self):
         engine = MinSortEngine([0, 5], 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import pytest
@@ -8,11 +9,20 @@ from unarysort.trace import CSV_HEADER, CycleTrace, Phase, TraceEvent
 
 def test_cycles_strictly_increase():
     trace = CycleTrace(arch="min", n_inputs=2)
-    trace.append(TraceEvent(1, Phase.SEARCH, 1, 0, (), ()))
+    trace.append(TraceEvent(1, Phase.SEARCH, 1, (), ()))
     with pytest.raises(ValueError):
-        trace.append(TraceEvent(1, Phase.SEARCH, 1, 0, (), ()))
-    trace.append(TraceEvent(2, Phase.SEARCH, 2, 0, (), ()))
+        trace.append(TraceEvent(1, Phase.SEARCH, 1, (), ()))
+    trace.append(TraceEvent(2, Phase.SEARCH, 2, (), ()))
     assert [e.cycle for e in trace.events] == [1, 2]
+
+
+def test_detected_count_is_the_popcount_of_detected():
+    event = TraceEvent(5, Phase.SEARCH, 5, (0, 2), ())
+    assert len(dataclasses.fields(event)) == 5
+    assert event.detected_count == 2
+    assert dataclasses.replace(event, detected=(1,)).detected_count == 1
+    with pytest.raises(AttributeError):
+        event.detected_count = 3
 
 
 def test_csv_schema():
