@@ -33,7 +33,6 @@ from .cost import (
 )
 from .generators import (
     FsmGenerator,
-    GeneratorState,
     counter_generate,
     fsm_generate,
     streams_equivalent,
@@ -50,7 +49,6 @@ __all__ = [
     "CycleTrace",
     "DEFAULT_WEIGHTS",
     "FsmGenerator",
-    "GeneratorState",
     "MaxSortEngine",
     "MinSortEngine",
     "Phase",

@@ -24,17 +24,20 @@ from .max_sorter import MaxSortEngine
 from .min_sorter import MinSortEngine
 from .trace import CycleTrace
 
+ARCHS = ("min", "max")
+DISTS = ("gaussian", "uniform", "file")
+
 
 class OracleMismatch(Exception):
-    """Engine-measured detection cycles disagree with the sorted-sample oracle."""
+    """A result disagrees with its reference: a sort, or the cycle oracle."""
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    arch: str = "min"          # "min" or "max"
+    arch: str = "min"          # one of ARCHS
     n: int = 8
     m: int = 8
-    dist: str = "gaussian"     # "gaussian", "uniform", or "file"
+    dist: str = "gaussian"     # one of DISTS
     mu: float = 128.0
     sigma: float = 32.0
     trials: int = 1000
@@ -42,9 +45,9 @@ class BenchConfig:
     input_path: str | None = None
 
     def __post_init__(self):
-        if self.arch not in ("min", "max"):
+        if self.arch not in ARCHS:
             raise ValueError(f"bench supports arch 'min' or 'max', got {self.arch!r}")
-        if self.dist not in ("gaussian", "uniform", "file"):
+        if self.dist not in DISTS:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if self.dist == "file" and not self.input_path:
             raise ValueError("file distribution needs an input path")

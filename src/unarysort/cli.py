@@ -9,9 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from dataclasses import asdict, fields
 
 from .batcher import batcher_sort, build_bitonic_network
 from .bench import (
+    ARCHS,
+    DISTS,
     BenchConfig,
     OracleMismatch,
     load_trials,
@@ -21,7 +24,7 @@ from .bench import (
     write_files,
 )
 from .bitstream import emission_str, written_str
-from .cost import DEFAULT_WEIGHTS, cost_table
+from .cost import TABLE_M, TABLE_N, cost_table
 from .generators import counter_generate, fsm_generate
 from .max_sorter import MaxSortEngine
 from .min_sorter import MinSortEngine
@@ -80,28 +83,13 @@ def cmd_sort(args) -> int:
     if args.check:
         expected = sorted(values, reverse=(args.arch == "max"))
         if outputs != expected:
-            print(f"check failed: {outputs} != {expected}", file=sys.stderr)
-            return EXIT_MISMATCH
+            raise OracleMismatch(f"{outputs} != {expected}")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    cfg = BenchConfig(
-        arch=args.arch,
-        n=args.n,
-        m=args.m,
-        dist=args.dist,
-        mu=args.mu,
-        sigma=args.sigma,
-        trials=args.trials,
-        seed=args.seed,
-        input_path=args.input,
-    )
-    try:
-        result = run_bench(cfg, check=args.check)
-    except OracleMismatch as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    cfg = BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
+    result = run_bench(cfg, check=args.check)
     if args.output:
         write_bench_csv(result, args.output)
     else:
@@ -112,7 +100,7 @@ def cmd_bench(args) -> int:
 def cmd_cost(args) -> int:
     ns = tuple(parse_ints(args.n, "--n"))
     ms = tuple(parse_ints(args.m, "--m"))
-    rows = cost_table(ns, ms, DEFAULT_WEIGHTS)
+    rows = cost_table(ns, ms)
     lines = ["n,m,min_sorter,max_sorter,batcher,cas_blocks,ordering_ok"]
     for row in rows:
         lines.append(
@@ -136,8 +124,7 @@ def cmd_compare(args) -> int:
     if args.check:
         reference = sorted(values)
         if not (agree and ascending == reference):
-            print("check failed: architectures disagree", file=sys.stderr)
-            return EXIT_MISMATCH
+            raise OracleMismatch("architectures disagree")
     print(f"agreement:  {agree}")
     return EXIT_OK
 
@@ -151,7 +138,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="unarysort", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[], help="print both generators' streams")
+    p = sub.add_parser("generate", help="print both generators' streams")
     p.add_argument("value", type=int)
     p.add_argument("--m", type=int, default=3, help="data width in bits")
     p.set_defaults(func=cmd_generate)
@@ -167,24 +154,24 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sort)
 
     p = sub.add_parser("bench", help="cycle-count benchmark over random inputs")
-    p.add_argument("--arch", choices=("min", "max"), default="min")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--dist", choices=("gaussian", "uniform", "file"),
-                   default="gaussian")
-    p.add_argument("--mu", type=float, default=128.0)
-    p.add_argument("--sigma", type=float, default=32.0)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--input", help="CSV of input vectors, one per row (dist=file)")
+    p.add_argument("--arch", choices=ARCHS)
+    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--dist", choices=DISTS)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--input", dest="input_path", metavar="INPUT",
+                   help="CSV of input vectors, one per row (dist=file)")
     p.add_argument("--output", help="CSV path; a .meta.json sidecar is written too")
     p.add_argument("--check", action="store_true",
                    help="verify every trial against the sorted-sample oracle")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, **asdict(BenchConfig()))
 
     p = sub.add_parser("cost", help="structural cost table over an (N, M) grid")
-    p.add_argument("--n", default="8,16,32,64,128,256", help="comma list of N")
-    p.add_argument("--m", default="8,16,32", help="comma list of M")
+    p.add_argument("--n", default=",".join(map(str, TABLE_N)), help="comma list of N")
+    p.add_argument("--m", default=",".join(map(str, TABLE_M)), help="comma list of M")
     p.add_argument("--output")
     p.set_defaults(func=cmd_cost)
 
@@ -206,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OracleMismatch as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -4,7 +4,7 @@ Both iterative architectures wrap the same hardware around their unary
 number generator: one detection flip-flop per input, a popcount of the
 newly latched bits, a priority encoder over the tie group, and the output
 memory.  Each clock edge is one :meth:`IterativeEngine.tick`, which runs
-one of three phases and logs one trace event:
+the phase decided by :attr:`IterativeEngine.phase` alone and logs one event:
 
 * SEARCH: the generators advance one cycle and every undetected unit whose
   detector fires latches.  Any detection switches to DRAIN.
@@ -13,6 +13,11 @@ one of three phases and logs one trace event:
   detection.
 * IDLE: every result has been written; the clock still counts and the
   tick is logged, but nothing else changes.
+
+Search is capped at :data:`SEARCH_BUDGET` generation cycles, one tick
+each: a run that needs more (up to 2**32 at width 32) raises
+:class:`ValueError` instead of hanging.  Drain cycles, one per input, are
+not capped.
 
 A subclass supplies only the detector: :meth:`IterativeEngine._fire` runs
 one generation cycle and :meth:`IterativeEngine._value` retrieves the
@@ -25,6 +30,12 @@ from collections.abc import Sequence
 
 from .bitstream import BinaryValue
 from .trace import CycleTrace, Phase, TraceEvent
+
+SEARCH, DRAIN, IDLE = Phase.SEARCH, Phase.DRAIN, Phase.IDLE
+
+# the most generation cycles a width-16 input needs (min detects 2**16 - 1,
+# max detects 0, both at cycle 2**16), so every width up to 16 sorts
+SEARCH_BUDGET = 1 << 16
 
 
 class IterativeEngine:
@@ -73,34 +84,36 @@ class IterativeEngine:
 
     @property
     def phase(self) -> Phase:
-        """DRAIN while the current tie group has writes left, else SEARCH."""
-        return Phase.DRAIN if self.pending else Phase.SEARCH
+        """IDLE after the last write, DRAIN while writes are pending, else SEARCH."""
+        if self.out_ptr == self.n:
+            return IDLE
+        return DRAIN if self.pending else SEARCH
 
     def tick(self) -> None:
         """Advance one clock cycle."""
-        self.cycle += 1
+        phase = self.phase
         newly, writes = (), ()
-        if self.done:
-            # post-completion ticks are no-ops, flagged in the trace
-            phase = Phase.IDLE
-        elif self.pending:
-            # tied units hold one value and generation stalls while they
-            # drain, so which of them the priority encoder picks changes no
-            # output and no trace event; the count alone is modelled
-            # (cost.py counts the encoder)
-            phase = Phase.DRAIN
-            self.pending -= 1
-            value = self._value()
-            writes = ((self.out_ptr, value),)
-            self.outputs[self.out_ptr] = value
-            self.out_ptr += 1
-        else:
-            phase = Phase.SEARCH
+        if phase is SEARCH:
+            if self.elapsed == SEARCH_BUDGET:
+                raise ValueError(f"search needs more than {SEARCH_BUDGET} generation "
+                                 f"cycles at width {self.width}; widths up to 16 fit")
             self.elapsed += 1
             newly = self._fire()
             for i in newly:
                 self.detected[i] = True
             self.pending = len(newly)
+        elif phase is DRAIN:
+            # tied units hold one value and generation stalls while they
+            # drain, so which of them the priority encoder picks changes no
+            # output and no trace event; the count alone is modelled
+            # (cost.py counts the encoder)
+            self.pending -= 1
+            value = self._value()
+            writes = ((self.out_ptr, value),)
+            self.outputs[self.out_ptr] = value
+            self.out_ptr += 1
+        # an IDLE tick (after completion) is a no-op, flagged in the trace
+        self.cycle += 1
         self.trace.append(TraceEvent(self.cycle, phase, self.elapsed, newly, writes))
 
     def run(self) -> list[int]:

@@ -4,8 +4,8 @@ Two circuits that turn a binary word into a unary bitstream, one bit per
 clock cycle:
 
 * :class:`FsmGenerator` - the comparison-free design: an M-bit remainder
-  register, a conditional decrement, and an OR-reduction flag driving a
-  two-state FSM.  Emits the ones first (right-aligned in emission order).
+  register, a conditional decrement, and an OR-reduction flag from which
+  the two-state FSM is derived.  Emits the ones first (right-aligned).
 * :func:`counter_generate` - the conventional design: a shared down counter
   and a magnitude comparator per input.  Emits the ones last; same
   popcount, opposite arrival order.
@@ -34,10 +34,10 @@ class FsmGenerator:
 
     Holds the input word in an M-bit remainder register and emits one bit
     per :meth:`step`.  While the remainder is nonzero the OR-reduction of
-    its bits (``or_out``) is 1, the FSM sits in EMITTING, and each emitted
-    1 decrements the remainder.  When the remainder reaches zero the FSM
-    falls into the absorbing DONE state and emits zeros.  After ``2**width``
-    steps the emitted bits form the right-aligned encoding of the value.
+    its bits (``or_out``) is 1 and each emitted 1 decrements it.  The FSM
+    state is derived from it, not stored: EMITTING while it is nonzero,
+    else the absorbing DONE, which emits zeros.  After ``2**width`` steps
+    the emitted bits form the right-aligned encoding of the value.
 
     Parameters
     ----------
@@ -52,10 +52,14 @@ class FsmGenerator:
         self.load(value)
 
     def load(self, value: int) -> None:
-        """Load a word and restart the FSM."""
+        """Load a word into the remainder register."""
         BinaryValue(value, self.width)
         self.remainder = value
-        self.state = GeneratorState.EMITTING
+
+    @property
+    def state(self) -> GeneratorState:
+        """EMITTING while bits remain, else DONE."""
+        return GeneratorState.EMITTING if self.remainder else GeneratorState.DONE
 
     @property
     def or_out(self) -> int:
@@ -66,8 +70,6 @@ class FsmGenerator:
         """Advance one clock cycle; returns the emitted bit."""
         bit = self.or_out
         self.remainder -= bit
-        if self.remainder == 0:
-            self.state = GeneratorState.DONE
         return bit
 
 

@@ -1,12 +1,26 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from unarysort import cli
+from unarysort import bench, cli
+from unarysort.bench import BenchConfig
+from unarysort.max_sorter import MaxSortEngine
 
 
 def run(argv):
     return cli.main(argv)
+
+
+class UnsortingEngine:
+    """Stands in for an engine class and returns its input unsorted."""
+
+    def __init__(self, values, width):
+        self.values = list(values)
+        self.trace = None
+
+    def run(self):
+        return self.values
 
 
 class TestGenerate:
@@ -66,24 +80,39 @@ class TestSort:
         assert run(["sort", "--input", str(path), "--m", "2", "--check"]) == 0
 
     def test_check_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
-        class BrokenEngine:
-            def __init__(self, values, width):
-                self.values = list(values)
-                self.trace = None
-
-            def run(self):
-                return self.values  # never sorts
-
-        monkeypatch.setattr(cli, "MinSortEngine", BrokenEngine)
+        monkeypatch.setattr(cli, "MinSortEngine", UnsortingEngine)
         path = tmp_path / "in.csv"
         path.write_text("3,1,2\n")
         assert run(["sort", "--input", str(path), "--m", "2", "--check"]) == 2
-        assert "check failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "check failed: [3, 1, 2] != [1, 2, 3]\n"
 
     def test_empty_file_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
         path.write_text("\n")
         assert run(["sort", "--input", str(path), "--m", "3"]) == 1
+
+    @pytest.mark.parametrize("arch", ["min", "max"])
+    def test_over_budget_search_exits_one_and_writes_nothing(
+        self, tmp_path, capsys, arch
+    ):
+        path = tmp_path / "in.csv"
+        path.write_text("4294967295,1\n")
+        assert run(["sort", "--input", str(path), "--arch", arch, "--m", "32",
+                    "--output", str(tmp_path / "o"), "--trace", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == (
+            "error: search needs more than 65536 generation cycles at width 32; "
+            "widths up to 16 fit\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    @pytest.mark.parametrize("arch", ["min", "max"])
+    def test_widest_in_budget_input_sorts(self, tmp_path, capsys, arch):
+        path = tmp_path / "in.csv"
+        path.write_text("65535,0,3\n")
+        assert run(["sort", "--input", str(path), "--arch", arch, "--m", "16",
+                    "--check"]) == 0
+        expected = "0,3,65535" if arch == "min" else "65535,3,0"
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_missing_file_is_validation_error(self, tmp_path):
         assert run(["sort", "--input", str(tmp_path / "nope.csv"), "--m", "3"]) == 1
@@ -162,6 +191,28 @@ class TestSort:
 
 
 class TestBench:
+    def test_defaults_are_bench_configs(self):
+        args = cli.build_parser().parse_args(["bench"])
+        defaults = asdict(BenchConfig())
+        assert {name: getattr(args, name) for name in defaults} == defaults
+        assert [type(getattr(args, name)) for name in defaults] == [
+            type(value) for value in defaults.values()
+        ]
+
+    def test_check_mismatch_exits_two(self, monkeypatch, capsys):
+        # a max engine detects at 2**m - v, never where the min oracle expects
+        monkeypatch.setattr(bench, "MinSortEngine", MaxSortEngine)
+        assert run(["bench", "--n", "4", "--m", "4", "--trials", "3",
+                    "--mu", "8", "--sigma", "3", "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("check failed: trial 0: measured [")
+
+    def test_over_budget_search_exits_one(self, capsys):
+        assert run(["bench", "--n", "2", "--m", "32", "--mu", "4e9", "--sigma", "0",
+                    "--trials", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: search needs more than 65536")
+
     def test_csv_to_stdout(self, capsys):
         assert run(
             ["bench", "--n", "4", "--m", "4", "--mu", "8", "--sigma", "2",
@@ -222,9 +273,12 @@ class TestBench:
 class TestCost:
     def test_default_grid(self, capsys):
         assert run(["cost"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        out = capsys.readouterr().out
+        lines = out.splitlines()
         assert lines[0].startswith("n,m,")
         assert len(lines) == 19  # header + 6x3 grid
+        run(["cost", "--n", "8,16,32,64,128,256", "--m", "8,16,32"])
+        assert capsys.readouterr().out == out
 
     def test_empty_entry_names_flag(self, capsys):
         assert run(["cost", "--n", ",8"]) == 1
@@ -249,6 +303,15 @@ class TestCompare:
         path.write_text("4,6,4,0,7,1,2,2\n")
         assert run(["compare", "--input", str(path), "--m", "3", "--check"]) == 0
         assert "agreement:  True" in capsys.readouterr().out
+
+    def test_check_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MinSortEngine", UnsortingEngine)
+        path = tmp_path / "in.csv"
+        path.write_text("4,6,4,0,7,1,2,2\n")
+        assert run(["compare", "--input", str(path), "--m", "3", "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "check failed: architectures disagree\n"
+        assert "agreement" not in captured.out
 
     def test_non_power_of_two_fails_validation(self, tmp_path):
         path = tmp_path / "in.csv"

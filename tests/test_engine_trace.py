@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from unarysort import engine as engine_module
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
 from unarysort.trace import Phase, TraceEvent
@@ -37,19 +38,51 @@ def expected_events(arch: str, values: list[int], width: int) -> list[TraceEvent
     return events
 
 
+SMALL_VECTORS = [
+    (values, width)
+    for n in (2, 3, 4)
+    for width in (1, 2, 3)
+    for values in itertools.product(range(1 << width), repeat=n)
+]
+
+
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
 def test_every_small_vector(engine_cls):
     runs = 0
-    for n in (2, 3, 4):
-        for width in (1, 2, 3):
-            for values in itertools.product(range(1 << width), repeat=n):
-                engine = engine_cls(values, width)
-                engine.run()
-                assert engine.trace.events == expected_events(
-                    engine_cls.arch, list(values), width
-                ), (engine_cls.arch, values, width)
-                runs += 1
+    for values, width in SMALL_VECTORS:
+        engine = engine_cls(values, width)
+        engine.run()
+        assert engine.trace.events == expected_events(
+            engine_cls.arch, list(values), width
+        ), (engine_cls.arch, values, width)
+        runs += 1
     assert runs == 5036
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_phase_is_the_phase_the_next_tick_logs(engine_cls):
+    # read before every tick, up to two idle ticks past completion
+    for values, width in SMALL_VECTORS:
+        engine = engine_cls(values, width)
+        idle = 0
+        while idle < 2:
+            phase = engine.phase
+            idle += engine.done
+            engine.tick()
+            assert engine.trace.events[-1].phase is phase, (values, width)
+
+
+@pytest.mark.parametrize("engine_cls, fits, too_long", [
+    (MinSortEngine, [3, 0], [4, 0]),   # min detects v at cycle v + 1
+    (MaxSortEngine, [0, 3], [0, 7]),   # max detects 0 at cycle 2**m
+])
+def test_search_budget(engine_cls, fits, too_long, monkeypatch):
+    monkeypatch.setattr(engine_module, "SEARCH_BUDGET", 4)
+    assert sorted(engine_cls(fits, 2).run()) == sorted(fits)
+    engine = engine_cls(too_long, 3)
+    with pytest.raises(ValueError, match="more than 4 generation cycles at width 3"):
+        engine.run()
+    assert engine.elapsed == 4 and engine.cycle == len(engine.trace.events)
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])

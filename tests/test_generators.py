@@ -19,6 +19,7 @@ class TestFsmUnit:
 
     def test_load_zero(self):
         unit = FsmGenerator(0, 3)
+        assert unit.state is GeneratorState.DONE  # derived from the remainder
         assert unit.or_out == 0
         assert unit.step() == 0
         assert unit.state is GeneratorState.DONE
