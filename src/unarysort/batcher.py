@@ -5,18 +5,19 @@ right-aligned streams, bitwise AND yields the stream of the smaller value
 and bitwise OR the larger, lane by lane.  An N-input network uses
 ``N * log2(N) * (log2(N) + 1) / 4`` CAS blocks.
 
-The three evaluation modes share one AND/OR kernel, :func:`evaluate`: the
-bit-serial mode calls it once per cycle on 0/1 bits, and the whole-stream
-modes call it once on streams packed into integer bitmasks.
+The three evaluation modes share one AND/OR kernel, :func:`evaluate`, called
+once on lanes packed into integers: one bit per span of unchanging inputs in
+the bit-serial mode, one bit or byte per cycle in the whole-stream modes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
-from .bitstream import BinaryValue, UnaryStream, encode_right_aligned, stream_length
+from .bitstream import BinaryValue, UnaryStream
 
 
 class Cas(NamedTuple):
@@ -62,6 +63,7 @@ def cas_count(n: int) -> int:
     return n * log_n * (log_n + 1) // 4
 
 
+@cache
 def build_bitonic_network(n: int) -> CasNetwork:
     """Standard bitonic construction; sorts ascending by lane index."""
     _check_n(n)
@@ -87,8 +89,8 @@ def build_bitonic_network(n: int) -> CasNetwork:
 def evaluate(network: CasNetwork, lanes: Sequence[int]) -> list[int]:
     """Carry one value per lane through every CAS block, stage by stage.
 
-    A lane is one stream bit, or a whole stream packed into an integer
-    bitmask; each block's AND and OR gates are the same either way.
+    A lane is one integer; AND and OR act on each of its bits alone, so a
+    lane may pack one bit per cycle, or per span of cycles.
     """
     lanes = list(lanes)
     for stage in network.stages:
@@ -107,26 +109,26 @@ def _validate_inputs(values: Sequence[int], width: int) -> None:
 
 
 def batcher_sort(values: Sequence[int], width: int) -> list[int]:
-    """Sort by streaming one bit per cycle through the CAS network.
+    """Sort by streaming the input bits through the CAS network.
 
-    Mirrors the hardware: each cycle, every lane carries one stream bit
-    combinationally through all stages; output popcounts are the sorted
-    values.
+    Lane i's input bit in cycle t is ``v_i > t``: it changes only at the
+    distinct input values, so one :func:`evaluate` call carries every span of
+    cycles, and each output bit counts once per cycle of its span.
     """
     _validate_inputs(values, width)
-    streams = [encode_right_aligned(v, width) for v in values]
-    network = build_bitonic_network(len(values))
-    counts = [0] * len(values)
-    for t in range(stream_length(width)):
-        lanes = evaluate(network, [s.bits[t] for s in streams])
-        for lane, bit in enumerate(lanes):
-            counts[lane] += bit
-    return counts
+    starts = sorted({0, *values})  # span k covers cycles starts[k] .. starts[k+1] - 1
+    span = {v: k for k, v in enumerate(starts)}
+    lanes = [(1 << span[v]) - 1 for v in values]  # bit k set iff v > starts[k]
+    lengths = [end - start for start, end in zip(starts, starts[1:])]
+    return [
+        sum(length for k, length in enumerate(lengths) if lane >> k & 1)
+        for lane in evaluate(build_bitonic_network(len(values)), lanes)
+    ]
 
 
 def batcher_sort_batch(values: Sequence[int], width: int) -> list[int]:
-    """Whole-stream evaluation: each lane is an integer bitmask, each CAS a
-    single AND/OR.  Faster functional oracle for :func:`batcher_sort`."""
+    """Whole-stream evaluation: each lane is an integer bitmask with one bit
+    per cycle, each CAS a single AND/OR.  Oracle for :func:`batcher_sort`."""
     _validate_inputs(values, width)
     network = build_bitonic_network(len(values))
     lanes = [(1 << v) - 1 for v in values]  # bit t set iff t < v, as emitted
@@ -138,8 +140,8 @@ def sort_streams(
 ) -> list[UnaryStream]:
     """Push whole streams through the network; returns the output streams.
 
-    Each stream is packed into a bitmask (bit t is the bit of cycle t + 1),
-    so every bit position is sorted on its own, aligned or not.
+    Each stream is packed into one integer whose byte t is the bit of cycle
+    t + 1, so every bit position is sorted on its own, aligned or not.
     """
     if len(streams) != network.n_inputs:
         raise ValueError("stream count does not match network inputs")
@@ -147,8 +149,8 @@ def sort_streams(
     if len(lengths) > 1:
         raise ValueError(f"streams must have equal lengths, got {sorted(lengths)}")
     length = lengths.pop()
-    lanes = [sum(bit << t for t, bit in enumerate(s.bits)) for s in streams]
+    lanes = [int.from_bytes(bytes(s.bits), "little") for s in streams]
     return [
-        UnaryStream(tuple((lane >> t) & 1 for t in range(length)))
+        UnaryStream(tuple(lane.to_bytes(length, "little")))
         for lane in evaluate(network, lanes)
     ]

@@ -29,11 +29,6 @@ class BinaryValue:
                 f"value {self.value} not representable in {self.width} bits"
             )
 
-    @property
-    def fraction(self) -> float:
-        """The word interpreted as a fraction of full scale (value / 2**width)."""
-        return self.value / (1 << self.width)
-
 
 @dataclass(frozen=True)
 class UnaryStream:
@@ -42,7 +37,7 @@ class UnaryStream:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("stream bits must be 0 or 1")
 
     def __len__(self) -> int:

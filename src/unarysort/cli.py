@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 
+# output-size limits: `generate` prints two streams of 2**m bits, and `network`
+# dumps N*log2(N)*(log2(N)+1)/4 CAS blocks from a network cached per N
+MAX_GENERATE_WIDTH = 16
+MAX_NETWORK_INPUTS = 1024
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; this harness reserves 2
@@ -58,6 +63,8 @@ def _write_or_print(
 
 
 def cmd_generate(args) -> int:
+    if args.m > MAX_GENERATE_WIDTH:
+        raise ValueError(f"--m must be at most {MAX_GENERATE_WIDTH}, got {args.m}")
     fsm = fsm_generate(args.value, args.m)
     counter = counter_generate(args.value, args.m)
     print(f"value {args.value} width {args.m} stream length {len(fsm)}")
@@ -130,6 +137,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_network(args) -> int:
+    if args.n > MAX_NETWORK_INPUTS:
+        raise ValueError(f"--n must be at most {MAX_NETWORK_INPUTS}, got {args.n}")
     print(build_bitonic_network(args.n).describe())
     return EXIT_OK
 
@@ -140,7 +149,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="print both generators' streams")
     p.add_argument("value", type=int)
-    p.add_argument("--m", type=int, default=3, help="data width in bits")
+    p.add_argument("--m", type=int, default=3,
+                   help=f"data width in bits, at most {MAX_GENERATE_WIDTH}")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sort", help="sort a CSV of integers")
@@ -182,7 +192,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("network", help="dump a bitonic CAS network")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=int, default=8,
+                   help=f"input count, a power of two up to {MAX_NETWORK_INPUTS}")
     p.set_defaults(func=cmd_network)
 
     return parser

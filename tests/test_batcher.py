@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from unarysort import batcher, bitstream
 from unarysort.batcher import (
     Cas,
     CasNetwork,
@@ -19,8 +20,33 @@ from unarysort.bitstream import (
     decode,
     encode_right_aligned,
     is_right_aligned,
+    stream_length,
 )
 from unarysort.min_sorter import sort_ascending
+
+
+def per_cycle_sort(values, width):
+    """The bit-serial reference: one :func:`evaluate` call per clock cycle on
+    the 0/1 bits of the right-aligned streams, output popcounts summed."""
+    streams = [encode_right_aligned(v, width) for v in values]
+    network = build_bitonic_network(len(values))
+    counts = [0] * len(values)
+    for t in range(stream_length(width)):
+        for lane, bit in enumerate(evaluate(network, [s.bits[t] for s in streams])):
+            counts[lane] += bit
+    return counts
+
+
+def per_bit_sort_streams(network, streams):
+    """Reference packing for :func:`sort_streams`: bit t of a lane is the bit
+    of cycle t + 1, packed and unpacked one bit at a time."""
+    length = len(streams[0])
+    lanes = [sum(bit << t for t, bit in enumerate(s.bits)) for s in streams]
+    return [
+        UnaryStream(tuple((lane >> t) & 1 for t in range(length)))
+        for lane in evaluate(network, lanes)
+    ]
+
 
 NETWORK_8 = """\
 inputs=8 stages=6 cas=24
@@ -67,6 +93,10 @@ class TestNetworkStructure:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             build_bitonic_network(6)
+
+    def test_built_once_per_size(self):
+        assert build_bitonic_network(16) is build_bitonic_network(16)
+        assert build_bitonic_network(8) is not build_bitonic_network(16)
 
 
 def one_block(cas: Cas) -> CasNetwork:
@@ -144,6 +174,20 @@ class TestBatcherSort:
             sum(math.comb(n, k) for k in range(n - i, n + 1)) for i in range(n)
         ]
 
+    @pytest.mark.parametrize("n,width", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
+    def test_spans_equal_per_cycle_exhaustive(self, n, width):
+        for values in itertools.product(range(1 << width), repeat=n):
+            assert batcher_sort(values, width) == per_cycle_sort(values, width)
+
+    def test_builds_no_stream(self, monkeypatch):
+        # the cost must not follow 2**width: no 2**width-bit stream is made
+        def refuse(value, width):
+            raise AssertionError("batcher_sort encoded a stream")
+
+        for module in (batcher, bitstream):
+            monkeypatch.setattr(module, "encode_right_aligned", refuse, raising=False)
+        assert batcher_sort([(1 << 32) - 1, 1, 0, 1], 32) == [0, 1, 1, (1 << 32) - 1]
+
     def test_serial_equals_batch(self):
         rng = random.Random(23)
         for _ in range(50):
@@ -186,6 +230,22 @@ class TestSortStreams:
             for t in range(3):
                 column = [s.bits[t] for s in streams]
                 assert [s.bits[t] for s in outputs] == sorted(column)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_equals_per_bit_packing(self, n):
+        # unaligned streams of every length up to 70, so packed lanes cross
+        # byte and machine-word boundaries; bits given as ints or as bools
+        rng = random.Random(n)
+        network = build_bitonic_network(n)
+        for length in range(71):
+            for kind in (int, bool):
+                streams = [
+                    UnaryStream(tuple(kind(rng.getrandbits(1)) for _ in range(length)))
+                    for _ in range(n)
+                ]
+                assert sort_streams(network, streams) == per_bit_sort_streams(
+                    network, streams
+                )
 
 
 def test_cas_is_frozen_value_type():

@@ -13,10 +13,6 @@ from unarysort.bitstream import (
 
 
 class TestBinaryValue:
-    def test_fraction(self):
-        assert BinaryValue(4, 3).fraction == 0.5
-        assert BinaryValue(6, 3).fraction == 0.75
-
     @pytest.mark.parametrize("value,width", [(-1, 3), (8, 3), (1, 0), (1, 33)])
     def test_rejects_out_of_range(self, value, width):
         with pytest.raises(ValueError):
@@ -88,8 +84,10 @@ class TestDisplay:
         assert written_str(s) == emission_str(s)[::-1]
 
     def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError):
-            UnaryStream((0, 2, 1))
+        for bits in ((0, 2, 1), (1, -1), (2,), (-1,)):
+            with pytest.raises(ValueError):
+                UnaryStream(bits)
+        assert UnaryStream((True, False, 0, 1)).popcount == 2
 
 
 class TestRoundTrip:

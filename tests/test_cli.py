@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import asdict
 
 import pytest
@@ -42,6 +43,16 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             run(["generate", "not-a-number"])
         assert exc.value.code == 1
+
+    def test_widest_allowed(self, capsys):
+        assert run(["generate", "5", "--m", str(cli.MAX_GENERATE_WIDTH)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "fsm      emission=" + "1" * 5 + "0" * 65531 + " written=" + (
+            "0" * 65531 + "1" * 5)
+
+    def test_too_wide_exits_one_and_prints_nothing(self, capsys):
+        assert run(["generate", "5", "--m", str(cli.MAX_GENERATE_WIDTH + 1)]) == 1
+        assert capsys.readouterr() == ("", "error: --m must be at most 16, got 17\n")
 
 
 class TestSort:
@@ -113,6 +124,16 @@ class TestSort:
                     "--check"]) == 0
         expected = "0,3,65535" if arch == "min" else "65535,3,0"
         assert capsys.readouterr().out == expected + "\n"
+
+    def test_batcher_at_width_32(self, tmp_path, capsys):
+        # the network is not bound by the search budget, and runs by spans
+        path = tmp_path / "in.csv"
+        path.write_text("4294967295,1\n")
+        start = time.perf_counter()
+        assert run(["sort", "--input", str(path), "--arch", "batcher", "--m", "32",
+                    "--check"]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == "1,4294967295\n"
 
     def test_missing_file_is_validation_error(self, tmp_path):
         assert run(["sort", "--input", str(tmp_path / "nope.csv"), "--m", "3"]) == 1
@@ -318,9 +339,26 @@ class TestCompare:
         path.write_text("4,6,4\n")
         assert run(["compare", "--input", str(path), "--m", "3"]) == 1
 
+    def test_over_budget_search_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("4294967295,1\n")
+        assert run(["compare", "--input", str(path), "--m", "32"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: search needs more than 65536 generation cycles at width 32; "
+            "widths up to 16 fit\n"))
+
 
 class TestNetwork:
     def test_dump(self, capsys):
         assert run(["network", "--n", "8"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("inputs=8 stages=6 cas=24")
+
+    def test_largest_allowed(self, capsys):
+        assert run(["network", "--n", str(cli.MAX_NETWORK_INPUTS)]) == 0
+        assert capsys.readouterr().out.startswith("inputs=1024 stages=55 cas=28160\n")
+
+    def test_too_large_exits_one_and_prints_nothing(self, capsys):
+        # checked before the power-of-two rule
+        assert run(["network", "--n", str(cli.MAX_NETWORK_INPUTS + 1)]) == 1
+        assert capsys.readouterr() == ("", "error: --n must be at most 1024, got 1025\n")

@@ -6,8 +6,10 @@ the generator-step and comparator counts read off the trace equal the real
 calls.  It relies on the package keeping its shape: ``run`` and ``__init__``
 in each engine class's own body, ``FsmGenerator.step`` and ``max_bit``
 called once per in-play unit per search cycle and looked up at call time,
-and the public engine classes built by name in ``bench``, ``cli`` and the
-``sort_*`` helpers.
+the public engine classes built by name in ``bench``, ``cli`` and the
+``sort_*`` helpers, and ``build_bitonic_network`` looked up by name at each
+call, so that the ``batcher.build`` span counts every request for a network
+even though the network is cached.
 """
 
 import json

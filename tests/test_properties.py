@@ -18,6 +18,8 @@ from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
 from unarysort.trace import Phase
 
+from test_batcher import per_cycle_sort
+
 ENGINES = st.sampled_from([MinSortEngine, MaxSortEngine])
 
 
@@ -68,6 +70,24 @@ def test_trace_invariants(engine_cls, vector):
 def test_network_modes_sort(vector):
     values, width = vector
     assert batcher_sort(values, width) == batcher_sort_batch(values, width) == sorted(values)
+
+
+@st.composite
+def tied_vectors(draw):
+    """(values, width): N in {2, 4, 8, 16} words drawn from at most four
+    values, 0 and 2**width - 1 always among them."""
+    width = draw(st.integers(1, 6))
+    top = (1 << width) - 1
+    pool = [0, top, *draw(st.lists(st.integers(0, top), max_size=2))]
+    n = draw(st.sampled_from([2, 4, 8, 16]))
+    rest = draw(st.lists(st.sampled_from(pool), min_size=n - 2, max_size=n - 2))
+    return draw(st.permutations([0, top, *rest])), width
+
+
+@given(tied_vectors())
+def test_spans_equal_per_cycle(vector):
+    values, width = vector
+    assert batcher_sort(values, width) == per_cycle_sort(values, width)
 
 
 ROWS = st.lists(st.lists(st.integers(0, 10**12), min_size=1, max_size=8),
