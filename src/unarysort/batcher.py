@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
-from .bitstream import BinaryValue, UnaryStream
+from .bitstream import UnaryStream, check_word
 
 
 class Cas(NamedTuple):
@@ -105,7 +105,7 @@ def _validate_inputs(values: Sequence[int], width: int) -> None:
         raise ValueError("no input values")
     _check_n(len(values))
     for v in values:
-        BinaryValue(v, width)
+        check_word(v, width)
 
 
 def batcher_sort(values: Sequence[int], width: int) -> list[int]:

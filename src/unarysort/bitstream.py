@@ -14,6 +14,14 @@ from dataclasses import dataclass
 MAX_WIDTH = 32
 
 
+def check_word(value: int, width: int) -> None:
+    """Raise ValueError unless ``1 <= width <= 32`` and ``0 <= value < 2**width``."""
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    if not 0 <= value < (1 << width):
+        raise ValueError(f"value {value} not representable in {width} bits")
+
+
 @dataclass(frozen=True)
 class BinaryValue:
     """An unsigned data word: ``0 <= value <= 2**width - 1``, 1 <= width <= 32."""
@@ -22,12 +30,7 @@ class BinaryValue:
     width: int
 
     def __post_init__(self):
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(
-                f"value {self.value} not representable in {self.width} bits"
-            )
+        check_word(self.value, self.width)
 
 
 @dataclass(frozen=True)

@@ -120,9 +120,10 @@ def cmd_cost(args) -> int:
 
 def cmd_compare(args) -> int:
     values = _read_values(args.input)
+    # first: the network refuses an N that is not a power of two, and is fast
+    network = batcher_sort(values, args.m)
     ascending = MinSortEngine(values, args.m).run()
     descending = MaxSortEngine(values, args.m).run()
-    network = batcher_sort(values, args.m)
     print(f"input:      {values}")
     print(f"min engine: {ascending}")
     print(f"max engine: {descending}")

@@ -22,13 +22,19 @@ not capped.
 A subclass supplies only the detector: :meth:`IterativeEngine._fire` runs
 one generation cycle and :meth:`IterativeEngine._value` retrieves the
 detected value.
+
+Only units in play are stepped: :attr:`IterativeEngine.in_play` lists them
+and is rebuilt only in a search cycle that detects something.  Each is
+stepped once per search cycle by a ``FsmGenerator.step`` or ``max_bit``
+call looked up when it is made, because ``perfbench/run.py --self-test``
+counts those calls against the unit-cycles it reads off the trace.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bitstream import BinaryValue
+from .bitstream import check_word
 from .trace import CycleTrace, Phase, TraceEvent
 
 SEARCH, DRAIN, IDLE = Phase.SEARCH, Phase.DRAIN, Phase.IDLE
@@ -59,19 +65,19 @@ class IterativeEngine:
         if len(values) < 2:
             raise ValueError("need at least two inputs to sort")
         for v in values:
-            BinaryValue(v, width)
+            check_word(v, width)
         self.width = width
         self.n = len(values)
-        self.detected = [False] * self.n   # detection flip-flops; set means out of play
-        self.pending = 0                   # writes left in the current tie group
-        self.elapsed = 0                   # generation cycles; frozen in DRAIN
-        self.cycle = 0                     # global clock
+        self.in_play = list(range(self.n))  # inputs whose detection flip-flop is clear
+        self.pending = 0                    # writes left in the current tie group
+        self.elapsed = 0                    # generation cycles; frozen in DRAIN
+        self.cycle = 0                      # global clock
         self.out_ptr = 0
         self.outputs: list[int | None] = [None] * self.n
         self.trace = CycleTrace(arch=self.arch, n_inputs=self.n)
 
     def _fire(self) -> tuple[int, ...]:
-        """Advance the generators one cycle; indices of undetected units that fire."""
+        """Advance the units in play one cycle; indices of those that fire."""
         raise NotImplementedError
 
     def _value(self) -> int:
@@ -99,8 +105,9 @@ class IterativeEngine:
                                  f"cycles at width {self.width}; widths up to 16 fit")
             self.elapsed += 1
             newly = self._fire()
-            for i in newly:
-                self.detected[i] = True
+            if newly:
+                fired = set(newly)
+                self.in_play = [i for i in self.in_play if i not in fired]
             self.pending = len(newly)
         elif phase is DRAIN:
             # tied units hold one value and generation stalls while they

@@ -16,8 +16,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .bitstream import (
-    BinaryValue,
     UnaryStream,
+    check_word,
     decode,
     is_right_aligned,
     stream_length,
@@ -53,7 +53,7 @@ class FsmGenerator:
 
     def load(self, value: int) -> None:
         """Load a word into the remainder register."""
-        BinaryValue(value, self.width)
+        check_word(value, self.width)
         self.remainder = value
 
     @property
@@ -67,10 +67,11 @@ class FsmGenerator:
         return 1 if self.remainder else 0
 
     def step(self) -> int:
-        """Advance one clock cycle; returns the emitted bit."""
-        bit = self.or_out
-        self.remainder -= bit
-        return bit
+        """Advance one clock cycle; returns the emitted bit, ``or_out``."""
+        if self.remainder:
+            self.remainder -= 1
+            return 1
+        return 0
 
 
 def fsm_generate(value: int, width: int) -> UnaryStream:
@@ -87,7 +88,7 @@ def counter_generate(value: int, width: int) -> UnaryStream:
     stream is the reverse of :func:`fsm_generate`'s; both encode the same
     popcount.
     """
-    BinaryValue(value, width)
+    check_word(value, width)
     length = stream_length(width)
     return UnaryStream(
         tuple(1 if value > counter else 0 for counter in range(length - 1, -1, -1))

@@ -44,11 +44,8 @@ class MaxSortEngine(IterativeEngine):
         return (1 << self.width) - self.elapsed
 
     def _fire(self) -> tuple[int, ...]:
-        counter = self.counter
-        return tuple(
-            i for i, value in enumerate(self.values)
-            if not self.detected[i] and max_bit(value, counter)
-        )
+        counter, values = self.counter, self.values
+        return tuple([i for i in self.in_play if max_bit(values[i], counter)])
 
     def _value(self) -> int:
         return self.counter  # frozen at the detection cycle

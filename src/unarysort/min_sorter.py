@@ -54,10 +54,8 @@ class MinSortEngine(IterativeEngine):
     run = IterativeEngine.run
 
     def _fire(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, unit in enumerate(self.units)
-            if not self.detected[i] and unit.step() == 0
-        )
+        units = self.units
+        return tuple([i for i in self.in_play if not units[i].step()])
 
     def _value(self) -> int:
         return retrieve_value(self.elapsed, self.width)

@@ -13,8 +13,11 @@ class Phase(Enum):
     IDLE = "idle"      # tick arrived after completion; logged, nothing happens
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceEvent:
+    """One tick's record.  Nothing mutates it; it is not frozen because every
+    tick builds one, and a frozen dataclass costs twice as much to build."""
+
     cycle: int                          # global clock, one per tick (idle ones too)
     phase: Phase
     elapsed: int                        # generation cycles so far (frozen in DRAIN)
@@ -61,14 +64,13 @@ class CycleTrace:
         return sum(1 for e in self.events if e.phase is not Phase.IDLE)
 
     def csv_rows(self) -> list[str]:
-        rows = [CSV_HEADER]
+        arch, rows = self.arch, [CSV_HEADER]
         for e in self.events:
-            detected = ";".join(str(i) for i in e.detected)
-            writes = ";".join(f"{addr}:{value}" for addr, value in e.writes)
-            rows.append(
-                f"{self.arch},{e.cycle},{e.phase.value},{e.detected_count},"
-                f"{detected},{writes}"
-            )
+            # most rows are quiet search cycles, with neither field to join
+            detected = ";".join(map(str, e.detected)) if e.detected else ""
+            writes = ";".join(f"{a}:{v}" for a, v in e.writes) if e.writes else ""
+            rows.append(f"{arch},{e.cycle},{e.phase.value},{len(e.detected)},"
+                        f"{detected},{writes}")
         return rows
 
     def to_csv(self, fileobj: io.TextIOBase) -> None:

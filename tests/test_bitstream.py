@@ -1,8 +1,12 @@
 import pytest
 
+from unarysort.generators import FsmGenerator
+from unarysort.max_sorter import MaxSortEngine
+from unarysort.min_sorter import MinSortEngine
 from unarysort.bitstream import (
     BinaryValue,
     UnaryStream,
+    check_word,
     decode,
     emission_str,
     encode_right_aligned,
@@ -21,6 +25,30 @@ class TestBinaryValue:
     def test_bounds_accepted(self):
         BinaryValue(0, 1)
         BinaryValue((1 << 32) - 1, 32)
+
+
+def _load(value, width):
+    unit = FsmGenerator(0, 1)
+    unit.width = width  # the register width load checks against
+    unit.load(value)
+
+
+@pytest.mark.parametrize("value,width,message", [
+    (0, 0, "width must be in 1..32, got 0"),
+    (0, 33, "width must be in 1..32, got 33"),
+    (-1, 3, "value -1 not representable in 3 bits"),
+    (8, 3, "value 8 not representable in 3 bits"),
+])
+@pytest.mark.parametrize("make", [
+    check_word, BinaryValue, FsmGenerator, _load,
+    lambda value, width: MinSortEngine([0, value], width),
+    lambda value, width: MaxSortEngine([0, value], width),
+], ids=["check_word", "BinaryValue", "FsmGenerator", "FsmGenerator.load",
+        "MinSortEngine", "MaxSortEngine"])
+def test_one_word_rule(make, value, width, message):
+    with pytest.raises(ValueError) as caught:
+        make(value, width)
+    assert str(caught.value) == message
 
 
 class TestEncode:

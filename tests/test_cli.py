@@ -339,6 +339,18 @@ class TestCompare:
         path.write_text("4,6,4\n")
         assert run(["compare", "--input", str(path), "--m", "3"]) == 1
 
+    def test_input_count_checked_before_any_engine_runs(self, tmp_path, monkeypatch, capsys):
+        def refuse(values, width):
+            raise AssertionError("an engine ran before the input count was checked")
+
+        monkeypatch.setattr(cli, "MinSortEngine", refuse)
+        monkeypatch.setattr(cli, "MaxSortEngine", refuse)
+        path = tmp_path / "in.csv"
+        path.write_text("65535,0,3\n")
+        assert run(["compare", "--input", str(path), "--m", "16"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: input count must be a power of two >= 2, got 3\n")
+
     def test_over_budget_search_exits_one(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
         path.write_text("4294967295,1\n")

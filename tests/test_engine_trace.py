@@ -12,18 +12,24 @@ import random
 import pytest
 
 from unarysort import engine as engine_module
+from unarysort import max_sorter
+from unarysort.generators import FsmGenerator
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
 from unarysort.trace import Phase, TraceEvent
 
 
-def expected_events(arch: str, values: list[int], width: int) -> list[TraceEvent]:
-    """Value v is detected at elapsed v + 1 (min) or 2**m - v (max); each tie
-    group in one SEARCH event, indices ascending; then one DRAIN per index."""
+def detection_cycles(arch: str, values: list[int], width: int) -> list[int]:
+    """Value v is detected at elapsed v + 1 (min) or 2**m - v (max)."""
     if arch == "min":
-        detect_at = [v + 1 for v in values]
-    else:
-        detect_at = [(1 << width) - v for v in values]
+        return [v + 1 for v in values]
+    return [(1 << width) - v for v in values]
+
+
+def expected_events(arch: str, values: list[int], width: int) -> list[TraceEvent]:
+    """Each tie group in one SEARCH event at its detection cycle, indices
+    ascending; then one DRAIN per index."""
+    detect_at = detection_cycles(arch, values, width)
     events, cycle, address = [], 0, 0
     for elapsed in range(1, max(detect_at) + 1):
         group = tuple(i for i, t in enumerate(detect_at) if t == elapsed)
@@ -43,6 +49,16 @@ SMALL_VECTORS = [
     for n in (2, 3, 4)
     for width in (1, 2, 3)
     for values in itertools.product(range(1 << width), repeat=n)
+]
+
+# at most 2**m distinct values over N inputs: every group drains N / 2**m
+# writes on average, and m=1, N=256 drains groups of about 128
+_rng = random.Random(41)
+TIE_HEAVY_VECTORS = [
+    ([_rng.randrange(1 << width) for _ in range(n)], width)
+    for n in (16, 64, 256)
+    for width in (1, 2, 3, 4)
+    for _ in range(50)
 ]
 
 
@@ -87,15 +103,32 @@ def test_search_budget(engine_cls, fits, too_long, monkeypatch):
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
 def test_seeded_tie_heavy_vectors(engine_cls):
-    # at most 2**m distinct values over N inputs: every group drains N / 2**m
-    # writes on average, and m=1, N=256 drains groups of about 128
-    rng = random.Random(41)
-    for n in (16, 64, 256):
-        for width in (1, 2, 3, 4):
-            for _ in range(50):
-                values = [rng.randrange(1 << width) for _ in range(n)]
-                engine = engine_cls(values, width)
-                engine.run()
-                assert engine.trace.events == expected_events(
-                    engine_cls.arch, values, width
-                ), (engine_cls.arch, values, width)
+    for values, width in TIE_HEAVY_VECTORS:
+        engine = engine_cls(values, width)
+        engine.run()
+        assert engine.trace.events == expected_events(
+            engine_cls.arch, values, width
+        ), (engine_cls.arch, values, width)
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_each_unit_evaluated_until_its_detection(engine_cls, monkeypatch):
+    # a unit is stepped (min) or compared (max) in every search cycle up to
+    # and including the one that detects it, and never after
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    if engine_cls is MinSortEngine:
+        monkeypatch.setattr(FsmGenerator, "step", counted(FsmGenerator.step))
+    else:
+        monkeypatch.setattr(max_sorter, "max_bit", counted(max_sorter.max_bit))
+    for values, width in SMALL_VECTORS + TIE_HEAVY_VECTORS:
+        calls[0] = 0
+        engine_cls(values, width).run()
+        assert calls[0] == sum(detection_cycles(engine_cls.arch, values, width)), (
+            values, width)

@@ -42,7 +42,7 @@ class TestEngineConstruction:
         assert [u.remainder for u in engine.units] == [4, 6, 4]
         assert engine.elapsed == 0
         assert engine.phase is Phase.SEARCH
-        assert not any(engine.detected) and engine.pending == 0
+        assert engine.in_play == [0, 1, 2] and engine.pending == 0
 
     def test_zero_inputs_start_inactive(self):
         engine = MinSortEngine([0, 0], 3)
@@ -144,9 +144,8 @@ class TestSortProperties:
         engine = MinSortEngine([5, 2, 2, 7], 3)
         while not engine.done:
             engine.tick()
-            for i, flagged in enumerate(engine.detected):
-                if flagged:
-                    assert engine.units[i].state is GeneratorState.DONE
+            for i in set(range(engine.n)).difference(engine.in_play):
+                assert engine.units[i].state is GeneratorState.DONE
 
     def test_ties_drain_one_per_cycle(self):
         # k equal minima: one detection event with count k, then k writes

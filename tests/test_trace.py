@@ -3,8 +3,24 @@ import io
 
 import pytest
 
+from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
 from unarysort.trace import CSV_HEADER, CycleTrace, Phase, TraceEvent
+
+from test_engine_trace import SMALL_VECTORS, TIE_HEAVY_VECTORS
+
+
+def reference_csv_rows(trace: CycleTrace) -> list[str]:
+    """The trace CSV as first written: every field joined on every row."""
+    rows = [CSV_HEADER]
+    for e in trace.events:
+        detected = ";".join(str(i) for i in e.detected)
+        writes = ";".join(f"{addr}:{value}" for addr, value in e.writes)
+        rows.append(
+            f"{trace.arch},{e.cycle},{e.phase.value},{e.detected_count},"
+            f"{detected},{writes}"
+        )
+    return rows
 
 
 def test_cycles_strictly_increase():
@@ -42,3 +58,17 @@ def test_writes_in_order():
     engine.run()
     assert engine.trace.writes() == [(0, 0), (1, 1), (2, 2)]
     assert engine.trace.complete
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_csv_equals_reference(engine_cls):
+    for values, width in SMALL_VECTORS + TIE_HEAVY_VECTORS:
+        engine = engine_cls(values, width)
+        engine.run()
+        assert engine.trace.csv_rows() == reference_csv_rows(engine.trace), (values, width)
+    engine = engine_cls([4, 6, 4], 3)
+    engine.run()
+    for _ in range(3):  # idle ticks after completion
+        engine.tick()
+    assert engine.trace.events[-1].phase is Phase.IDLE
+    assert engine.trace.csv_rows() == reference_csv_rows(engine.trace)
