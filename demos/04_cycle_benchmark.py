@@ -12,7 +12,8 @@ from pathlib import Path
 
 from unarysort.bench import BenchConfig, run_bench, write_bench_csv
 
-OUT_DIR = Path(__file__).parent / "output"
+ROOT = Path(__file__).resolve().parent.parent
+OUT_DIR = ROOT / "demos" / "output"
 OUT_DIR.mkdir(exist_ok=True)
 
 for m in (5, 6, 8):
@@ -31,4 +32,5 @@ for m in (5, 6, 8):
         write_bench_csv(result, out)
     print()
 
-print(f"CSV output in {OUT_DIR}/ (one file per curve, with metadata sidecars)")
+# relative, so that the output is the same from any checkout
+print(f"CSV output in {OUT_DIR.relative_to(ROOT)}/ (one file per curve, with metadata sidecars)")

@@ -103,8 +103,8 @@ def load_trials(path: str | Path) -> list[list[int]]:
 
 
 def detection_cycles(trace: CycleTrace) -> list[int]:
-    """Generation cycle at which each output rank was detected."""
-    return [event.elapsed for event in trace.events for _ in event.writes]
+    """Generation cycle at which each output rank was detected; spans write nothing."""
+    return [record.elapsed for record in trace.records for _ in record.writes]
 
 
 def _run_engine(cfg: BenchConfig, values: list[int]) -> list[int]:

@@ -14,28 +14,29 @@ the phase decided by :attr:`IterativeEngine.phase` alone and logs one event:
 * IDLE: every result has been written; the clock still counts and the
   tick is logged, but nothing else changes.
 
-Search is capped at :data:`SEARCH_BUDGET` generation cycles, one tick
-each: a run that needs more (up to 2**32 at width 32) raises
-:class:`ValueError` instead of hanging.  Drain cycles, one per input, are
-not capped.
+Search is capped at :data:`SEARCH_BUDGET` generation cycles: a run that
+needs more (up to 2**32 at width 32) raises :class:`ValueError` instead of
+hanging.  Drain cycles, one per input, are not capped.
 
 A subclass supplies only the detector: :meth:`IterativeEngine._fire` runs
 one generation cycle and :meth:`IterativeEngine._value` retrieves the
-detected value.
+detected value.  It also loads and checks the input words.
 
 Only units in play are stepped: :attr:`IterativeEngine.in_play` lists them
 and is rebuilt only in a search cycle that detects something.  Each is
 stepped once per search cycle by a ``FsmGenerator.step`` or ``max_bit``
 call looked up when it is made, because ``perfbench/run.py --self-test``
 counts those calls against the unit-cycles it reads off the trace.
+:meth:`IterativeEngine.run` runs the cycles a loop of ``tick()`` runs, but
+logs the quiet search cycles before each detection as one
+:class:`~unarysort.trace.QuietSpan`, which ``trace.events`` expands once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bitstream import check_word
-from .trace import CycleTrace, Phase, TraceEvent
+from .trace import CycleTrace, Phase, QuietSpan, TraceEvent
 
 SEARCH, DRAIN, IDLE = Phase.SEARCH, Phase.DRAIN, Phase.IDLE
 
@@ -64,8 +65,6 @@ class IterativeEngine:
     def __init__(self, values: Sequence[int], width: int):
         if len(values) < 2:
             raise ValueError("need at least two inputs to sort")
-        for v in values:
-            check_word(v, width)
         self.width = width
         self.n = len(values)
         self.in_play = list(range(self.n))  # inputs whose detection flip-flop is clear
@@ -95,20 +94,25 @@ class IterativeEngine:
             return IDLE
         return DRAIN if self.pending else SEARCH
 
+    def _search(self) -> tuple[int, ...]:
+        """One generation cycle, unlogged; returns the indices that fire."""
+        if self.elapsed == SEARCH_BUDGET:
+            raise ValueError(f"search needs more than {SEARCH_BUDGET} generation "
+                             f"cycles at width {self.width}; widths up to 16 fit")
+        self.elapsed += 1
+        newly = self._fire()
+        if newly:
+            fired = set(newly)
+            self.in_play = [i for i in self.in_play if i not in fired]
+            self.pending = len(newly)
+        return newly
+
     def tick(self) -> None:
         """Advance one clock cycle."""
         phase = self.phase
         newly, writes = (), ()
         if phase is SEARCH:
-            if self.elapsed == SEARCH_BUDGET:
-                raise ValueError(f"search needs more than {SEARCH_BUDGET} generation "
-                                 f"cycles at width {self.width}; widths up to 16 fit")
-            self.elapsed += 1
-            newly = self._fire()
-            if newly:
-                fired = set(newly)
-                self.in_play = [i for i in self.in_play if i not in fired]
-            self.pending = len(newly)
+            newly = self._search()
         elif phase is DRAIN:
             # tied units hold one value and generation stalls while they
             # drain, so which of them the priority encoder picks changes no
@@ -124,7 +128,19 @@ class IterativeEngine:
         self.trace.append(TraceEvent(self.cycle, phase, self.elapsed, newly, writes))
 
     def run(self) -> list[int]:
-        """Tick until every input has been written; returns the sorted outputs."""
+        """Clock until every input has been written; returns the sorted outputs."""
         while not self.done:
-            self.tick()
+            if self.pending:
+                self.tick()
+                continue
+            start, newly = self.elapsed, ()
+            try:
+                while not newly:
+                    newly = self._search()
+            finally:  # at a detection, or when the budget runs out
+                if quiet := self.elapsed - start - bool(newly):
+                    self.trace.append(QuietSpan(self.cycle + 1, start + 1, quiet))
+                    self.cycle += quiet
+            self.cycle += 1
+            self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
         return list(self.outputs)

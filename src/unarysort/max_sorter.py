@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .bitstream import check_word
 from .engine import IterativeEngine
 from .trace import CycleTrace
 
@@ -32,6 +33,8 @@ class MaxSortEngine(IterativeEngine):
 
     def __init__(self, values: Sequence[int], width: int):
         super().__init__(values, width)
+        for v in values:
+            check_word(v, width)
         self.values = list(values)
 
     # bound in this class body, so that wrapping MaxSortEngine.run (as the

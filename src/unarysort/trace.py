@@ -23,6 +23,7 @@ class TraceEvent:
     elapsed: int                        # generation cycles so far (frozen in DRAIN)
     detected: tuple[int, ...]           # indices of inputs newly detected this cycle
     writes: tuple[tuple[int, int], ...]  # (output address, value) pairs
+    length = 1                          # cycles logged, as a QuietSpan logs several
 
     @property
     def detected_count(self) -> int:
@@ -30,25 +31,47 @@ class TraceEvent:
         return len(self.detected)
 
 
+@dataclass
+class QuietSpan:
+    """``length`` search cycles that detect nothing, from ``cycle`` and ``elapsed`` on."""
+
+    cycle: int
+    elapsed: int
+    length: int
+    phase, detected, writes = Phase.SEARCH, (), ()  # as in each of its events
+
+    def expand(self) -> list[TraceEvent]:
+        return [TraceEvent(self.cycle + k, Phase.SEARCH, self.elapsed + k, (), ())
+                for k in range(self.length)]
+
+
 CSV_HEADER = "arch,cycle,state,detected_count,detected_indices,writes"
 
 
 @dataclass
 class CycleTrace:
-    """Ordered event log of one engine run."""
+    """Ordered record log of one engine run."""
 
     arch: str
     n_inputs: int
-    events: list[TraceEvent] = field(default_factory=list)
+    records: list[TraceEvent | QuietSpan] = field(default_factory=list)
 
-    def append(self, event: TraceEvent) -> None:
-        if self.events and event.cycle <= self.events[-1].cycle:
+    def append(self, record: TraceEvent | QuietSpan) -> None:
+        if self.records and record.cycle < self.records[-1].cycle + self.records[-1].length:
             raise ValueError("trace cycles must strictly increase")
-        self.events.append(event)
+        self.records.append(record)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """One event per cycle: the records, their spans expanded in place by the first read."""
+        if any(type(r) is QuietSpan for r in self.records):
+            self.records[:] = [e for r in self.records
+                               for e in (r.expand() if type(r) is QuietSpan else (r,))]
+        return self.records
 
     def writes(self) -> list[tuple[int, int]]:
         """All (address, value) pairs in write order."""
-        return [w for e in self.events for w in e.writes]
+        return [w for r in self.records for w in r.writes]
 
     @property
     def complete(self) -> bool:
@@ -61,15 +84,17 @@ class CycleTrace:
         """
         if not self.complete:
             raise ValueError("trace is incomplete: not all outputs were written")
-        return sum(1 for e in self.events if e.phase is not Phase.IDLE)
+        return sum(r.length for r in self.records if r.phase is not Phase.IDLE)
 
     def csv_rows(self) -> list[str]:
         arch, rows = self.arch, [CSV_HEADER]
-        for e in self.events:
-            # most rows are quiet search cycles, with neither field to join
-            detected = ";".join(map(str, e.detected)) if e.detected else ""
-            writes = ";".join(f"{a}:{v}" for a, v in e.writes) if e.writes else ""
-            rows.append(f"{arch},{e.cycle},{e.phase.value},{len(e.detected)},"
+        for r in self.records:
+            if type(r) is QuietSpan:
+                rows += [f"{arch},{c},search,0,," for c in range(r.cycle, r.cycle + r.length)]
+                continue
+            detected = ";".join(map(str, r.detected)) if r.detected else ""
+            writes = ";".join(f"{a}:{v}" for a, v in r.writes) if r.writes else ""
+            rows.append(f"{arch},{r.cycle},{r.phase.value},{len(r.detected)},"
                         f"{detected},{writes}")
         return rows
 

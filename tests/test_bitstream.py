@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from unarysort.generators import FsmGenerator
@@ -49,6 +51,21 @@ def test_one_word_rule(make, value, width, message):
     with pytest.raises(ValueError) as caught:
         make(value, width)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_an_engine_checks_each_word_once(engine_cls, monkeypatch):
+    checked = []
+
+    def counted(value, width):
+        checked.append(value)
+        check_word(value, width)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("unarysort") and hasattr(module, "check_word"):
+            monkeypatch.setattr(module, "check_word", counted)
+    engine_cls([5, 0, 7, 5], 3)
+    assert sorted(checked) == [0, 5, 5, 7]
 
 
 class TestEncode:

@@ -4,6 +4,10 @@ Every input vector with N in {2, 3, 4} and m in {1, 2, 3} is sorted by both
 engines (10,072 runs), and each run's ``trace.events`` must equal the list
 built here from the detection-time laws alone.  Seeded wide vectors with
 few distinct values add tie groups of up to hundreds of inputs.
+
+``run()`` is also compared with a loop of ``tick()``, the reference model,
+on the same vectors: it may differ only in logging quiet search cycles as
+spans.
 """
 
 import itertools
@@ -11,12 +15,13 @@ import random
 
 import pytest
 
+from unarysort import bench
 from unarysort import engine as engine_module
 from unarysort import max_sorter
 from unarysort.generators import FsmGenerator
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
-from unarysort.trace import Phase, TraceEvent
+from unarysort.trace import Phase, QuietSpan, TraceEvent
 
 
 def detection_cycles(arch: str, values: list[int], width: int) -> list[int]:
@@ -132,3 +137,51 @@ def test_each_unit_evaluated_until_its_detection(engine_cls, monkeypatch):
         engine_cls(values, width).run()
         assert calls[0] == sum(detection_cycles(engine_cls.arch, values, width)), (
             values, width)
+
+
+def ticked(engine_cls, values, width):
+    """The reference run: one ``tick()`` per clock until every input is written."""
+    engine = engine_cls(values, width)
+    while not engine.done:
+        engine.tick()
+    return engine
+
+
+def assert_run_matches_ticks(engine_cls, values, width):
+    engine = engine_cls(values, width)
+    outputs = engine.run()
+    reference = ticked(engine_cls, values, width)
+    records = engine.trace.records
+    # every quiet search cycle is in a span
+    assert all(isinstance(r, QuietSpan) or r.detected or r.writes for r in records)
+    # read off the records before events expands them
+    assert engine.trace.csv_rows() == reference.trace.csv_rows()
+    assert engine.trace.total_cycles() == reference.trace.total_cycles()
+    assert bench.detection_cycles(engine.trace) == bench.detection_cycles(reference.trace)
+    assert outputs == reference.outputs
+    assert engine.trace.events == reference.trace.events
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_run_logs_what_ticks_log(engine_cls):
+    for values, width in SMALL_VECTORS + TIE_HEAVY_VECTORS:
+        assert_run_matches_ticks(engine_cls, values, width)
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_run_stops_at_the_budget_where_ticks_stop(engine_cls, monkeypatch):
+    monkeypatch.setattr(engine_module, "SEARCH_BUDGET", 4)
+    raised = 0
+    for values, width in SMALL_VECTORS:
+        if max(detection_cycles(engine_cls.arch, list(values), width)) <= 4:
+            continue
+        engine, reference = engine_cls(values, width), engine_cls(values, width)
+        with pytest.raises(ValueError, match="more than 4 generation cycles"):
+            engine.run()
+        with pytest.raises(ValueError, match="more than 4 generation cycles"):
+            while True:
+                reference.tick()
+        assert (engine.cycle, engine.elapsed) == (reference.cycle, reference.elapsed)
+        assert engine.trace.events == reference.trace.events, values
+        raised += 1
+    assert raised == 4336  # the m=3 vectors holding a value detected after cycle 4

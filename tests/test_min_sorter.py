@@ -9,21 +9,17 @@ from unarysort.trace import Phase, TraceEvent
 
 class TestRetrieveValue:
     def test_detection_at_five_means_four(self):
-        assert retrieve_value(5, 3) == 4
+        assert retrieve_value(5) == 4
 
     def test_first_cycle(self):
-        assert retrieve_value(1, 3) == 0
+        assert retrieve_value(1) == 0
 
     def test_last_cycle(self):
-        assert retrieve_value(8, 3) == 7
-
-    def test_overflow_is_a_bug(self):
-        with pytest.raises(RuntimeError):
-            retrieve_value(9, 3)
+        assert retrieve_value(8) == 7
 
     def test_before_first_cycle(self):
         with pytest.raises(ValueError):
-            retrieve_value(0, 3)
+            retrieve_value(0)
 
 
 class TestEngineConstruction:

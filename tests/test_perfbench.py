@@ -9,7 +9,11 @@ called once per in-play unit per search cycle and looked up at call time,
 the public engine classes built by name in ``bench``, ``cli`` and the
 ``sort_*`` helpers, and ``build_bitonic_network`` looked up by name at each
 call, so that the ``batcher.build`` span counts every request for a network
-even though the network is cached.
+even though the network is cached.  It also relies on ``CycleTrace.events``
+returning one list, the trace's records with their quiet spans expanded in
+place, that every later reading of the trace sees: the wrong-output probe
+edits that list after ``run()``, and ``writes()``, ``csv_rows()``,
+``total_cycles()`` and ``bench.detection_cycles`` must count the edit.
 """
 
 import json

@@ -19,6 +19,7 @@ from unarysort.min_sorter import MinSortEngine
 from unarysort.trace import Phase
 
 from test_batcher import per_cycle_sort
+from test_engine_trace import assert_run_matches_ticks
 
 ENGINES = st.sampled_from([MinSortEngine, MaxSortEngine])
 
@@ -64,6 +65,11 @@ def test_trace_invariants(engine_cls, vector):
     phases = Counter(e.phase for e in events)
     search = max(values) + 1 if engine_cls is MinSortEngine else (1 << width) - min(values)
     assert phases == {Phase.SEARCH: search, Phase.DRAIN: len(values)}
+
+
+@given(ENGINES, vectors())
+def test_run_logs_what_ticks_log(engine_cls, vector):
+    assert_run_matches_ticks(engine_cls, *vector)
 
 
 @given(st.sampled_from([2, 4, 8, 16]).flatmap(lambda n: vectors(n, n)))
