@@ -90,10 +90,13 @@ def parse_ints(text: str, source: str) -> list[int]:
 
 
 def load_trials(path: str | Path) -> list[list[int]]:
-    """One input vector per CSV row; rows become trials."""
+    """One input vector per CSV row (a non-blank line); rows become trials."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     vectors = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line:
             vectors.append(parse_ints(line, f"{path} line {number}"))
@@ -148,9 +151,10 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
     """Run all trials; with ``check`` every trial is verified against the oracle."""
     if cfg.dist == "file":
         trials = load_trials(cfg.input_path)
-        for vec in trials:
+        for row, vec in enumerate(trials, start=1):
             if len(vec) != len(trials[0]):
-                raise ValueError("all input rows must have the same length")
+                raise ValueError(f"{cfg.input_path}: row {row} has {len(vec)} values, "
+                                 f"row 1 has {len(trials[0])}")
         cfg = BenchConfig(**{**asdict(cfg), "n": len(trials[0]),
                              "trials": len(trials)})
     else:

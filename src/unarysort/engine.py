@@ -14,13 +14,13 @@ the phase decided by :attr:`IterativeEngine.phase` alone and logs one event:
 * IDLE: every result has been written; the clock still counts and the
   tick is logged, but nothing else changes.
 
-Search is capped at :data:`SEARCH_BUDGET` generation cycles: a run that
-needs more (up to 2**32 at width 32) raises :class:`ValueError` instead of
-hanging.  Drain cycles, one per input, are not capped.
+Search is capped at :data:`SEARCH_BUDGET` generation cycles.  The inputs fix
+the search length, so one that needs more (up to 2**32 at width 32) is
+refused when the engine is built.  Drain cycles, one per input, are not capped.
 
 A subclass supplies only the detector: :meth:`IterativeEngine._fire` runs
 one generation cycle and :meth:`IterativeEngine._value` retrieves the
-detected value.  It also loads and checks the input words.
+detected value.  It also checks the input words and then its search length.
 
 Only units in play are stepped: :attr:`IterativeEngine.in_play` lists them
 and is rebuilt only in a search cycle that detects something.  Each is
@@ -75,6 +75,12 @@ class IterativeEngine:
         self.outputs: list[int | None] = [None] * self.n
         self.trace = CycleTrace(arch=self.arch, n_inputs=self.n)
 
+    def _admit(self, search_cycles: int) -> None:
+        """Refuse an input whose search needs more than SEARCH_BUDGET cycles."""
+        if search_cycles > SEARCH_BUDGET:
+            raise ValueError(f"search needs more than {SEARCH_BUDGET} generation "
+                             f"cycles at width {self.width}; widths up to 16 fit")
+
     def _fire(self) -> tuple[int, ...]:
         """Advance the units in play one cycle; indices of those that fire."""
         raise NotImplementedError
@@ -96,9 +102,6 @@ class IterativeEngine:
 
     def _search(self) -> tuple[int, ...]:
         """One generation cycle, unlogged; returns the indices that fire."""
-        if self.elapsed == SEARCH_BUDGET:
-            raise ValueError(f"search needs more than {SEARCH_BUDGET} generation "
-                             f"cycles at width {self.width}; widths up to 16 fit")
         self.elapsed += 1
         newly = self._fire()
         if newly:
@@ -134,13 +137,11 @@ class IterativeEngine:
                 self.tick()
                 continue
             start, newly = self.elapsed, ()
-            try:
-                while not newly:
-                    newly = self._search()
-            finally:  # at a detection, or when the budget runs out
-                if quiet := self.elapsed - start - bool(newly):
-                    self.trace.append(QuietSpan(self.cycle + 1, start + 1, quiet))
-                    self.cycle += quiet
+            while not newly:
+                newly = self._search()
+            if quiet := self.elapsed - start - 1:
+                self.trace.append(QuietSpan(self.cycle + 1, start + 1, quiet))
+                self.cycle += quiet
             self.cycle += 1
             self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
         return list(self.outputs)

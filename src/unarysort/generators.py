@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .bitstream import (
-    UnaryStream,
-    check_word,
-    decode,
-    is_right_aligned,
-    stream_length,
-)
+from .bitstream import UnaryStream, check_word, stream_length
 
 
 class GeneratorState(Enum):
@@ -94,20 +88,3 @@ def counter_generate(value: int, width: int) -> UnaryStream:
         tuple(1 if value > counter else 0 for counter in range(length - 1, -1, -1))
     )
 
-
-def streams_equivalent(a: UnaryStream, b: UnaryStream) -> bool:
-    """True iff both streams are aligned and decode to the same value.
-
-    Bit order may differ between generator conventions (ones first vs ones
-    last); value equality is the contract.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"stream lengths differ: {len(a)} vs {len(b)}")
-    if len(a) == 0:
-        raise ValueError("empty streams cannot be compared")
-    # aligned means ones first or ones last: right-aligned one way round
-    aligned = all(
-        is_right_aligned(s) or is_right_aligned(UnaryStream(s.bits[::-1]))
-        for s in (a, b)
-    )
-    return aligned and decode(a).value == decode(b).value

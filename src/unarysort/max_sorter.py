@@ -35,6 +35,7 @@ class MaxSortEngine(IterativeEngine):
         super().__init__(values, width)
         for v in values:
             check_word(v, width)
+        self._admit((1 << width) - min(values))  # the smallest input is detected last
         self.values = list(values)
 
     # bound in this class body, so that wrapping MaxSortEngine.run (as the

@@ -43,6 +43,7 @@ class MinSortEngine(IterativeEngine):
     def __init__(self, values: Sequence[int], width: int):
         super().__init__(values, width)
         self.units = [FsmGenerator(v, width) for v in values]  # each checks its word
+        self._admit(max(values) + 1)  # the largest input is detected last
 
     # bound in this class body, so that wrapping MinSortEngine.run (as the
     # benchmark's per-layer spans do) wraps this sorter and not the max sorter

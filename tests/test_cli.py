@@ -125,6 +125,26 @@ class TestSort:
         expected = "0,3,65535" if arch == "min" else "65535,3,0"
         assert capsys.readouterr().out == expected + "\n"
 
+    @pytest.mark.parametrize("arch, text, expected", [
+        ("min", "5,3", "3,5"),
+        ("max", "4294967295,4294967290", "4294967295,4294967290"),
+    ], ids=["min", "max"])
+    def test_wide_input_within_budget_sorts(
+        self, tmp_path, capsys, arch, text, expected
+    ):
+        # admission follows the search length (6 cycles here), not the width
+        path = tmp_path / "in.csv"
+        path.write_text(text + "\n")
+        assert run(["sort", "--input", str(path), "--arch", arch, "--m", "32",
+                    "--check"]) == 0
+        assert capsys.readouterr() == (expected + "\n", "")
+
+    def test_non_utf8_input_names_file(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"4,6,\xff\n")
+        assert run(["sort", "--input", str(path), "--m", "3"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 text\n")
+
     def test_batcher_at_width_32(self, tmp_path, capsys):
         # the network is not bound by the search budget, and runs by spans
         path = tmp_path / "in.csv"
@@ -289,6 +309,19 @@ class TestBench:
         assert capsys.readouterr().err == (
             f"error: {path} line 2: not an integer: ''\n"
         )
+
+    def test_non_utf8_input_names_file(self, tmp_path, capsys):
+        path = tmp_path / "vectors.csv"
+        path.write_bytes(b"1,2\n\xff,3\n")
+        assert run(["bench", "--dist", "file", "--input", str(path), "--m", "3"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 text\n")
+
+    def test_unequal_rows_name_file_and_row(self, tmp_path, capsys):
+        path = tmp_path / "vectors.csv"
+        path.write_text("1,2,3\n4,5,6\n\n7,0\n")
+        assert run(["bench", "--dist", "file", "--input", str(path), "--m", "3"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: row 3 has 2 values, row 1 has 3\n")
 
 
 class TestCost:

@@ -3,7 +3,7 @@
 Demo 02 prints every trace event and the CSV of the worked example, so its
 stdout is pinned to a golden file, which covers the expansion of quiet
 spans end to end.  Demo 04 is not run here: it writes its CSVs under
-``demos/output/``.
+``demos/output/``; the tier-1 workflow runs all five demos after the tests.
 """
 
 import os

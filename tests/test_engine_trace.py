@@ -49,6 +49,14 @@ def expected_events(arch: str, values: list[int], width: int) -> list[TraceEvent
     return events
 
 
+def counted(fn, calls: list[int]):
+    """``fn``, adding one to ``calls[0]`` on each call."""
+    def wrapper(*args):
+        calls[0] += 1
+        return fn(*args)
+    return wrapper
+
+
 SMALL_VECTORS = [
     (values, width)
     for n in (2, 3, 4)
@@ -93,19 +101,6 @@ def test_phase_is_the_phase_the_next_tick_logs(engine_cls):
             assert engine.trace.events[-1].phase is phase, (values, width)
 
 
-@pytest.mark.parametrize("engine_cls, fits, too_long", [
-    (MinSortEngine, [3, 0], [4, 0]),   # min detects v at cycle v + 1
-    (MaxSortEngine, [0, 3], [0, 7]),   # max detects 0 at cycle 2**m
-])
-def test_search_budget(engine_cls, fits, too_long, monkeypatch):
-    monkeypatch.setattr(engine_module, "SEARCH_BUDGET", 4)
-    assert sorted(engine_cls(fits, 2).run()) == sorted(fits)
-    engine = engine_cls(too_long, 3)
-    with pytest.raises(ValueError, match="more than 4 generation cycles at width 3"):
-        engine.run()
-    assert engine.elapsed == 4 and engine.cycle == len(engine.trace.events)
-
-
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
 def test_seeded_tie_heavy_vectors(engine_cls):
     for values, width in TIE_HEAVY_VECTORS:
@@ -121,17 +116,10 @@ def test_each_unit_evaluated_until_its_detection(engine_cls, monkeypatch):
     # a unit is stepped (min) or compared (max) in every search cycle up to
     # and including the one that detects it, and never after
     calls = [0]
-
-    def counted(fn):
-        def wrapper(*args):
-            calls[0] += 1
-            return fn(*args)
-        return wrapper
-
     if engine_cls is MinSortEngine:
-        monkeypatch.setattr(FsmGenerator, "step", counted(FsmGenerator.step))
+        monkeypatch.setattr(FsmGenerator, "step", counted(FsmGenerator.step, calls))
     else:
-        monkeypatch.setattr(max_sorter, "max_bit", counted(max_sorter.max_bit))
+        monkeypatch.setattr(max_sorter, "max_bit", counted(max_sorter.max_bit, calls))
     for values, width in SMALL_VECTORS + TIE_HEAVY_VECTORS:
         calls[0] = 0
         engine_cls(values, width).run()
@@ -168,20 +156,26 @@ def test_run_logs_what_ticks_log(engine_cls):
         assert_run_matches_ticks(engine_cls, values, width)
 
 
-@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
-def test_run_stops_at_the_budget_where_ticks_stop(engine_cls, monkeypatch):
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine],
+                         ids=["min", "max"])
+def test_refused_exactly_when_search_exceeds_budget(engine_cls, monkeypatch):
+    # the search length is known from the inputs, so an input is refused at
+    # construction, before any unit is evaluated, and an admitted one finishes
     monkeypatch.setattr(engine_module, "SEARCH_BUDGET", 4)
-    raised = 0
+    calls = [0]
+    monkeypatch.setattr(FsmGenerator, "step", counted(FsmGenerator.step, calls))
+    monkeypatch.setattr(max_sorter, "max_bit", counted(max_sorter.max_bit, calls))
+    refused = 0
     for values, width in SMALL_VECTORS:
-        if max(detection_cycles(engine_cls.arch, list(values), width)) <= 4:
-            continue
-        engine, reference = engine_cls(values, width), engine_cls(values, width)
-        with pytest.raises(ValueError, match="more than 4 generation cycles"):
-            engine.run()
-        with pytest.raises(ValueError, match="more than 4 generation cycles"):
-            while True:
-                reference.tick()
-        assert (engine.cycle, engine.elapsed) == (reference.cycle, reference.elapsed)
-        assert engine.trace.events == reference.trace.events, values
-        raised += 1
-    assert raised == 4336  # the m=3 vectors holding a value detected after cycle 4
+        calls[0] = 0
+        if max(detection_cycles(engine_cls.arch, list(values), width)) > 4:
+            with pytest.raises(ValueError, match=(
+                    f"^search needs more than 4 generation cycles at width {width}; "
+                    "widths up to 16 fit$")):
+                engine_cls(values, width)
+            assert calls[0] == 0, values
+            refused += 1
+        else:
+            assert engine_cls(values, width).run() == sorted(
+                values, reverse=engine_cls.arch == "max"), values
+    assert refused == 4336  # the m=3 vectors holding a value detected after cycle 4

@@ -1,12 +1,11 @@
 import pytest
 
-from unarysort.bitstream import UnaryStream, decode, encode_right_aligned
+from unarysort.bitstream import decode, encode_right_aligned
 from unarysort.generators import (
     FsmGenerator,
     GeneratorState,
     counter_generate,
     fsm_generate,
-    streams_equivalent,
 )
 
 
@@ -122,27 +121,3 @@ class TestCounterGenerate:
         for m in range(1, 9):
             for v in range(1 << m):
                 assert decode(counter_generate(v, m)).value == v
-
-
-class TestStreamsEquivalent:
-    def test_generators_agree(self):
-        assert streams_equivalent(fsm_generate(4, 3), counter_generate(4, 3))
-
-    def test_different_values_differ(self):
-        assert not streams_equivalent(fsm_generate(4, 3), fsm_generate(5, 3))
-
-    def test_interleaved_not_equivalent(self):
-        assert not streams_equivalent(
-            UnaryStream((1, 0, 1, 0)), UnaryStream((1, 1, 0, 0))
-        )
-        assert not streams_equivalent(
-            UnaryStream((0, 0, 1, 1)), UnaryStream((0, 1, 0, 1))
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            streams_equivalent(fsm_generate(1, 2), fsm_generate(1, 3))
-
-    def test_empty_streams(self):
-        with pytest.raises(ValueError):
-            streams_equivalent(UnaryStream(()), UnaryStream(()))
