@@ -101,8 +101,6 @@ def evaluate(network: CasNetwork, lanes: Sequence[int]) -> list[int]:
 
 
 def _validate_inputs(values: Sequence[int], width: int) -> None:
-    if not values:
-        raise ValueError("no input values")
     _check_n(len(values))
     for v in values:
         check_word(v, width)

@@ -106,7 +106,7 @@ def load_trials(path: str | Path) -> list[list[int]]:
 
 
 def detection_cycles(trace: CycleTrace) -> list[int]:
-    """Generation cycle at which each output rank was detected; spans write nothing."""
+    """Generation cycle at which each output rank was detected; gaps write nothing."""
     return [record.elapsed for record in trace.records for _ in record.writes]
 
 
@@ -151,6 +151,8 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
     """Run all trials; with ``check`` every trial is verified against the oracle."""
     if cfg.dist == "file":
         trials = load_trials(cfg.input_path)
+        if len(trials[0]) < 2:  # a row is a non-blank line, so it has a value
+            raise ValueError(f"{cfg.input_path}: row 1 has 1 value, need at least 2")
         for row, vec in enumerate(trials, start=1):
             if len(vec) != len(trials[0]):
                 raise ValueError(f"{cfg.input_path}: row {row} has {len(vec)} values, "
@@ -162,7 +164,12 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
 
     cycles = np.empty((len(trials), cfg.n), dtype=np.int64)
     for i, values in enumerate(trials):
-        measured = _run_engine(cfg, values)
+        try:
+            measured = _run_engine(cfg, values)
+        except ValueError as exc:  # the engine checks the words; name a file's row
+            if cfg.dist == "file":
+                raise ValueError(f"{cfg.input_path}: row {i + 1}: {exc}") from None
+            raise
         if check:
             expected = oracle_cycles(cfg, values)
             if measured != expected:

@@ -79,10 +79,7 @@ def decode(stream: UnaryStream) -> BinaryValue:
     if length < 2 or length & (length - 1):
         raise ValueError(f"stream length {length} is not a power of two >= 2")
     width = length.bit_length() - 1
-    count = stream.popcount
-    if count >= length:
-        raise ValueError(f"value {count} not representable in {width} bits")
-    return BinaryValue(count, width)
+    return BinaryValue(stream.popcount, width)
 
 
 def is_right_aligned(stream: UnaryStream) -> bool:

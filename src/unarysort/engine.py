@@ -28,15 +28,14 @@ stepped once per search cycle by a ``FsmGenerator.step`` or ``max_bit``
 call looked up when it is made, because ``perfbench/run.py --self-test``
 counts those calls against the unit-cycles it reads off the trace.
 :meth:`IterativeEngine.run` runs the cycles a loop of ``tick()`` runs, but
-logs the quiet search cycles before each detection as one
-:class:`~unarysort.trace.QuietSpan`, which ``trace.events`` expands once.
+logs only those that detect or write; ``trace.events`` fills the gaps.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .trace import CycleTrace, Phase, QuietSpan, TraceEvent
+from .trace import CycleTrace, Phase, TraceEvent
 
 SEARCH, DRAIN, IDLE = Phase.SEARCH, Phase.DRAIN, Phase.IDLE
 
@@ -139,9 +138,6 @@ class IterativeEngine:
             start, newly = self.elapsed, ()
             while not newly:
                 newly = self._search()
-            if quiet := self.elapsed - start - 1:
-                self.trace.append(QuietSpan(self.cycle + 1, start + 1, quiet))
-                self.cycle += quiet
-            self.cycle += 1
+            self.cycle += self.elapsed - start  # past the quiet cycles, unlogged
             self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
         return list(self.outputs)

@@ -23,17 +23,6 @@ from .generators import FsmGenerator
 from .trace import CycleTrace
 
 
-def retrieve_value(elapsed_cycle: int) -> int:
-    """Reconstruct a detected value from the generation-cycle count.
-
-    The detected unit's register holds 0, so the value is the number of
-    ones it emitted: ``elapsed_cycle - 1``.
-    """
-    if elapsed_cycle < 1:
-        raise ValueError("detection cannot happen before the first cycle")
-    return elapsed_cycle - 1
-
-
 class MinSortEngine(IterativeEngine):
     """Cycle-accurate model of the ascending-order sorter: an FSM generator
     bank in front of the shared two-phase controller."""
@@ -54,7 +43,8 @@ class MinSortEngine(IterativeEngine):
         return tuple([i for i in self.in_play if not units[i].step()])
 
     def _value(self) -> int:
-        return retrieve_value(self.elapsed)
+        # the detected unit emitted a 1 in each generation cycle before its first 0
+        return self.elapsed - 1
 
 
 def sort_ascending(

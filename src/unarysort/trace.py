@@ -15,15 +15,14 @@ class Phase(Enum):
 
 @dataclass
 class TraceEvent:
-    """One tick's record.  Nothing mutates it; it is not frozen because every
-    tick builds one, and a frozen dataclass costs twice as much to build."""
+    """One logged cycle's record.  Nothing mutates it; it is not frozen because
+    every tick builds one, and a frozen dataclass costs twice as much to build."""
 
     cycle: int                          # global clock, one per tick (idle ones too)
     phase: Phase
     elapsed: int                        # generation cycles so far (frozen in DRAIN)
     detected: tuple[int, ...]           # indices of inputs newly detected this cycle
     writes: tuple[tuple[int, int], ...]  # (output address, value) pairs
-    length = 1                          # cycles logged, as a QuietSpan logs several
 
     @property
     def detected_count(self) -> int:
@@ -31,43 +30,41 @@ class TraceEvent:
         return len(self.detected)
 
 
-@dataclass
-class QuietSpan:
-    """``length`` search cycles that detect nothing, from ``cycle`` and ``elapsed`` on."""
-
-    cycle: int
-    elapsed: int
-    length: int
-    phase, detected, writes = Phase.SEARCH, (), ()  # as in each of its events
-
-    def expand(self) -> list[TraceEvent]:
-        return [TraceEvent(self.cycle + k, Phase.SEARCH, self.elapsed + k, (), ())
-                for k in range(self.length)]
-
-
 CSV_HEADER = "arch,cycle,state,detected_count,detected_indices,writes"
 
 
 @dataclass
 class CycleTrace:
-    """Ordered record log of one engine run."""
+    """Ordered record log of one engine run.
+
+    A gap between logged cycles (or before the first) is that many quiet
+    search cycles, each one generation cycle past the cycle before it:
+    between detections only the generation counter changes.  ``tick()``
+    logs every cycle; ``run()`` only those that detect or write.
+    """
 
     arch: str
     n_inputs: int
-    records: list[TraceEvent | QuietSpan] = field(default_factory=list)
+    records: list[TraceEvent] = field(default_factory=list)
 
-    def append(self, record: TraceEvent | QuietSpan) -> None:
-        if self.records and record.cycle < self.records[-1].cycle + self.records[-1].length:
+    def append(self, record: TraceEvent) -> None:
+        if self.records and record.cycle <= self.records[-1].cycle:
             raise ValueError("trace cycles must strictly increase")
         self.records.append(record)
 
     @property
     def events(self) -> list[TraceEvent]:
-        """One event per cycle: the records, their spans expanded in place by the first read."""
-        if any(type(r) is QuietSpan for r in self.records):
-            self.records[:] = [e for r in self.records
-                               for e in (r.expand() if type(r) is QuietSpan else (r,))]
-        return self.records
+        """One event per cycle: the records, their gaps filled in place by the first read."""
+        records = self.records
+        if records and len(records) < records[-1].cycle:
+            filled, cycle, elapsed = [], 0, 0
+            for r in records:
+                filled += [TraceEvent(cycle + k, Phase.SEARCH, elapsed + k, (), ())
+                           for k in range(1, r.cycle - cycle)]
+                filled.append(r)
+                cycle, elapsed = r.cycle, r.elapsed
+            records[:] = filled
+        return records
 
     def writes(self) -> list[tuple[int, int]]:
         """All (address, value) pairs in write order."""
@@ -84,14 +81,14 @@ class CycleTrace:
         """
         if not self.complete:
             raise ValueError("trace is incomplete: not all outputs were written")
-        return sum(r.length for r in self.records if r.phase is not Phase.IDLE)
+        records = self.records
+        return records[-1].cycle - sum(r.phase is Phase.IDLE for r in records)
 
     def csv_rows(self) -> list[str]:
-        arch, rows = self.arch, [CSV_HEADER]
+        arch, rows, cycle = self.arch, [CSV_HEADER], 0
         for r in self.records:
-            if type(r) is QuietSpan:
-                rows += [f"{arch},{c},search,0,," for c in range(r.cycle, r.cycle + r.length)]
-                continue
+            rows += [f"{arch},{c},search,0,," for c in range(cycle + 1, r.cycle)]
+            cycle = r.cycle
             detected = ";".join(map(str, r.detected)) if r.detected else ""
             writes = ";".join(f"{a}:{v}" for a, v in r.writes) if r.writes else ""
             rows.append(f"{arch},{r.cycle},{r.phase.value},{len(r.detected)},"

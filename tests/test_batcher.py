@@ -146,6 +146,12 @@ class TestBatcherSort:
         with pytest.raises(ValueError):
             batcher_sort([1, 2, 3], 2)
 
+    @pytest.mark.parametrize("sort", [batcher_sort, batcher_sort_batch])
+    def test_rejects_no_inputs_as_a_bad_count(self, sort):
+        with pytest.raises(ValueError) as info:
+            sort([], 3)
+        assert str(info.value) == "input count must be a power of two >= 2, got 0"
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             batcher_sort([1, 8], 3)

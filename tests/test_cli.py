@@ -323,6 +323,22 @@ class TestBench:
         assert capsys.readouterr() == (
             "", f"error: {path}: row 3 has 2 values, row 1 has 3\n")
 
+    def test_one_value_rows_name_file_and_row(self, tmp_path, capsys):
+        path = tmp_path / "vectors.csv"
+        path.write_text("3\n\n5\n")
+        assert run(["bench", "--dist", "file", "--input", str(path), "--m", "3"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: row 1 has 1 value, need at least 2\n")
+
+    @pytest.mark.parametrize("arch", ["min", "max"])
+    def test_unrepresentable_value_names_file_and_row(self, tmp_path, capsys, arch):
+        path = tmp_path / "vectors.csv"
+        path.write_text("1,2\n\n3,100\n")
+        assert run(["bench", "--dist", "file", "--input", str(path), "--m", "4",
+                    "--arch", arch]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: row 2: value 100 not representable in 4 bits\n")
+
 
 class TestCost:
     def test_default_grid(self, capsys):

@@ -1,8 +1,8 @@
 """Smoke test of the demos: each one runs to completion.
 
 Demo 02 prints every trace event and the CSV of the worked example, so its
-stdout is pinned to a golden file, which covers the expansion of quiet
-spans end to end.  Demo 04 is not run here: it writes its CSVs under
+stdout is pinned to a golden file, which covers filling the quiet cycles
+between logged ones end to end.  Demo 04 is not run here: it writes its CSVs under
 ``demos/output/``; the tier-1 workflow runs all five demos after the tests.
 """
 

@@ -3,23 +3,8 @@ import random
 import pytest
 
 from unarysort.max_sorter import MaxSortEngine
-from unarysort.min_sorter import MinSortEngine, retrieve_value, sort_ascending
+from unarysort.min_sorter import MinSortEngine, sort_ascending
 from unarysort.trace import Phase, TraceEvent
-
-
-class TestRetrieveValue:
-    def test_detection_at_five_means_four(self):
-        assert retrieve_value(5) == 4
-
-    def test_first_cycle(self):
-        assert retrieve_value(1) == 0
-
-    def test_last_cycle(self):
-        assert retrieve_value(8) == 7
-
-    def test_before_first_cycle(self):
-        with pytest.raises(ValueError):
-            retrieve_value(0)
 
 
 class TestEngineConstruction:

@@ -10,8 +10,8 @@ the public engine classes built by name in ``bench``, ``cli`` and the
 ``sort_*`` helpers, and ``build_bitonic_network`` looked up by name at each
 call, so that the ``batcher.build`` span counts every request for a network
 even though the network is cached.  It also relies on ``CycleTrace.events``
-returning one list, the trace's records with their quiet spans expanded in
-place, that every later reading of the trace sees: the wrong-output probe
+returning one list, the trace's records with the quiet cycles in their gaps
+filled in place, that every later reading of the trace sees: the wrong-output probe
 edits that list after ``run()``, and ``writes()``, ``csv_rows()``,
 ``total_cycles()`` and ``bench.detection_cycles`` must count the edit.
 """

@@ -6,7 +6,7 @@ import pytest
 from unarysort.bench import detection_cycles
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
-from unarysort.trace import CSV_HEADER, CycleTrace, Phase, QuietSpan, TraceEvent
+from unarysort.trace import CSV_HEADER, CycleTrace, Phase, TraceEvent
 
 from test_engine_trace import SMALL_VECTORS, TIE_HEAVY_VECTORS
 
@@ -30,25 +30,46 @@ def test_cycles_strictly_increase():
     with pytest.raises(ValueError):
         trace.append(TraceEvent(1, Phase.SEARCH, 1, (), ()))
     trace.append(TraceEvent(2, Phase.SEARCH, 2, (), ()))
-    trace.append(QuietSpan(3, 3, 3))  # cycles 3, 4 and 5
-    for cycle in (3, 5):  # at or before the span's end
+    trace.append(TraceEvent(6, Phase.SEARCH, 6, (0,), ()))  # cycles 3, 4 and 5 are quiet
+    for cycle in (2, 6):  # at or before the last logged cycle
         with pytest.raises(ValueError):
-            trace.append(TraceEvent(cycle, Phase.SEARCH, cycle, (0,), ()))
-        with pytest.raises(ValueError):
-            trace.append(QuietSpan(cycle, cycle, 1))
-    trace.append(TraceEvent(6, Phase.SEARCH, 6, (0,), ()))
+            trace.append(TraceEvent(cycle, Phase.DRAIN, 6, (), ((0, 5),)))
     assert [e.cycle for e in trace.events] == [1, 2, 3, 4, 5, 6]
     assert [e.elapsed for e in trace.events] == [1, 2, 3, 4, 5, 6]
 
 
-def test_events_expands_the_spans_once_in_place():
+def test_events_fills_the_quiet_cycles_once_in_place():
     engine = MinSortEngine([4, 6, 4], 3)
     engine.run()
     trace = engine.trace
-    assert [type(r) for r in trace.records[:3]] == [QuietSpan, TraceEvent, TraceEvent]
+    assert [r.cycle for r in trace.records] == [5, 6, 7, 9, 10]
+    assert [r.phase for r in trace.records] == [Phase.SEARCH, Phase.DRAIN, Phase.DRAIN,
+                                                Phase.SEARCH, Phase.DRAIN]
     events = trace.events
     assert trace.events is events is trace.records
-    assert all(isinstance(e, TraceEvent) for e in events) and len(events) == 10
+    assert [e.cycle for e in events] == list(range(1, 11))
+
+
+def test_a_gap_after_a_drain_continues_the_frozen_elapsed():
+    # the min sorter's run on [4, 1] at m=3: the drain holds elapsed 2, and
+    # the quiet cycles 4 and 5 after it are generation cycles 3 and 4
+    trace = CycleTrace(arch="min", n_inputs=2)
+    trace.append(TraceEvent(2, Phase.SEARCH, 2, (1,), ()))
+    trace.append(TraceEvent(3, Phase.DRAIN, 2, (), ((0, 1),)))
+    trace.append(TraceEvent(6, Phase.SEARCH, 5, (0,), ()))
+    trace.append(TraceEvent(7, Phase.DRAIN, 5, (), ((1, 4),)))
+    assert trace.total_cycles() == 7
+    assert trace.csv_rows()[1:] == [
+        "min,1,search,0,,", "min,2,search,1,1,", "min,3,drain,0,,0:1",
+        "min,4,search,0,,", "min,5,search,0,,", "min,6,search,1,0,", "min,7,drain,0,,1:4"]
+    assert [(e.cycle, e.phase, e.elapsed) for e in trace.events] == [
+        (1, Phase.SEARCH, 1), (2, Phase.SEARCH, 2), (3, Phase.DRAIN, 2),
+        (4, Phase.SEARCH, 3), (5, Phase.SEARCH, 4), (6, Phase.SEARCH, 5),
+        (7, Phase.DRAIN, 5)]
+    reference = MinSortEngine([4, 1], 3)
+    while not reference.done:
+        reference.tick()
+    assert trace.events == reference.trace.events
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
