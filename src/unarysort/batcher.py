@@ -8,6 +8,7 @@ and bitwise OR the larger, lane by lane.  An N-input network uses
 The three evaluation modes share one AND/OR kernel, :func:`evaluate`, called
 once on lanes packed into integers: one bit per span of unchanging inputs in
 the bit-serial mode, one bit or byte per cycle in the whole-stream modes.
+AND/OR keep every lane right-aligned, so each mode reads a lane by popcount.
 """
 
 from __future__ import annotations
@@ -111,15 +112,15 @@ def batcher_sort(values: Sequence[int], width: int) -> list[int]:
 
     Lane i's input bit in cycle t is ``v_i > t``: it changes only at the
     distinct input values, so one :func:`evaluate` call carries every span of
-    cycles, and each output bit counts once per cycle of its span.
+    cycles.  Each input lane is a prefix of spans, and AND/OR keep it one, so
+    an output lane with j spans set is 1 in cycles ``0 .. starts[j] - 1``.
     """
     _validate_inputs(values, width)
     starts = sorted({0, *values})  # span k covers cycles starts[k] .. starts[k+1] - 1
     span = {v: k for k, v in enumerate(starts)}
     lanes = [(1 << span[v]) - 1 for v in values]  # bit k set iff v > starts[k]
-    lengths = [end - start for start, end in zip(starts, starts[1:])]
     return [
-        sum(length for k, length in enumerate(lengths) if lane >> k & 1)
+        starts[lane.bit_count()]
         for lane in evaluate(build_bitonic_network(len(values)), lanes)
     ]
 

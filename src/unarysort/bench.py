@@ -49,8 +49,8 @@ class BenchConfig:
             raise ValueError(f"bench supports arch 'min' or 'max', got {self.arch!r}")
         if self.dist not in DISTS:
             raise ValueError(f"unknown distribution {self.dist!r}")
-        if self.dist == "file" and not self.input_path:
-            raise ValueError("file distribution needs an input path")
+        if (self.dist == "file") != bool(self.input_path):
+            raise ValueError("dist 'file' and an input path go together")
         if self.n < 2:
             raise ValueError("need at least two inputs")
         if not 1 <= self.m <= MAX_WIDTH:
@@ -78,12 +78,16 @@ def sample_trial(cfg: BenchConfig, trial: int) -> list[int]:
 
 
 def parse_ints(text: str, source: str) -> list[int]:
-    """The integers in a comma-separated list; an error names ``source``
-    (a file and line, or a flag) and the bad field."""
+    """The integers in a comma-separated list of ASCII digit fields, each
+    with optional blanks around it; an error names ``source`` (a file and
+    line, or a flag) and the bad field."""
     values = []
     for field in text.split(","):
+        digits = field.strip(" \t")
         try:
-            values.append(int(field))
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            values.append(int(digits))
         except ValueError:
             raise ValueError(f"{source}: not an integer: {field.strip()!r}") from None
     return values

@@ -64,9 +64,8 @@ def encode_right_aligned(value: int, width: int) -> UnaryStream:
 
     This is the oracle every generator in the package is tested against.
     """
-    v = BinaryValue(value, width)
-    length = stream_length(width)
-    return UnaryStream((1,) * v.value + (0,) * (length - v.value))
+    check_word(value, width)
+    return UnaryStream((1,) * value + (0,) * (stream_length(width) - value))
 
 
 def decode(stream: UnaryStream) -> BinaryValue:
@@ -80,17 +79,6 @@ def decode(stream: UnaryStream) -> BinaryValue:
         raise ValueError(f"stream length {length} is not a power of two >= 2")
     width = length.bit_length() - 1
     return BinaryValue(stream.popcount, width)
-
-
-def is_right_aligned(stream: UnaryStream) -> bool:
-    """True iff no 1 follows a 0 in emission order."""
-    seen_zero = False
-    for b in stream:
-        if b == 0:
-            seen_zero = True
-        elif seen_zero:
-            return False
-    return True
 
 
 def emission_str(stream: UnaryStream) -> str:

@@ -152,9 +152,8 @@ def gate_equiv(rc: ResourceCount, weights: WeightSet = DEFAULT_WEIGHTS) -> float
     )
 
 
-def score(arch: Architecture, n: int, m: int,
-          weights: WeightSet = DEFAULT_WEIGHTS) -> float:
-    return gate_equiv(resources(arch, n, m), weights)
+def score(arch: Architecture, n: int, m: int) -> float:
+    return gate_equiv(resources(arch, n, m))
 
 
 TABLE_N = (8, 16, 32, 64, 128, 256)
@@ -164,15 +163,14 @@ TABLE_M = (8, 16, 32)
 def cost_table(
     ns: tuple[int, ...] = TABLE_N,
     ms: tuple[int, ...] = TABLE_M,
-    weights: WeightSet = DEFAULT_WEIGHTS,
 ) -> list[dict]:
     """Model scores per architecture over an (N, M) grid, with ordering verdicts."""
     rows = []
     for n in ns:
         for m in ms:
-            s_min = score(Architecture.MIN_SORTER, n, m, weights)
-            s_max = score(Architecture.MAX_SORTER, n, m, weights)
-            s_bat = score(Architecture.BATCHER, n, m, weights)
+            s_min = score(Architecture.MIN_SORTER, n, m)
+            s_max = score(Architecture.MAX_SORTER, n, m)
+            s_bat = score(Architecture.BATCHER, n, m)
             rows.append(
                 {
                     "n": n,

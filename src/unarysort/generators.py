@@ -20,18 +20,18 @@ from .bitstream import UnaryStream, check_word, stream_length
 
 class GeneratorState(Enum):
     EMITTING = "emitting"  # output is 1 while bits remain
-    DONE = "done"          # absorbing; output is 0 until reload
+    DONE = "done"          # absorbing; output is 0 from here on
 
 
 class FsmGenerator:
     """Comparison-free unary stream generator.
 
     Holds the input word in an M-bit remainder register and emits one bit
-    per :meth:`step`.  While the remainder is nonzero the OR-reduction of
-    its bits (``or_out``) is 1 and each emitted 1 decrements it.  The FSM
-    state is derived from it, not stored: EMITTING while it is nonzero,
-    else the absorbing DONE, which emits zeros.  After ``2**width`` steps
-    the emitted bits form the right-aligned encoding of the value.
+    per :meth:`step`: the OR-reduction of the remainder's bits, 1 while it
+    is nonzero, and each emitted 1 decrements it.  The FSM state is derived
+    from the remainder, not stored: EMITTING while it is nonzero, else the
+    absorbing DONE, which emits zeros.  After ``2**width`` steps the
+    emitted bits form the right-aligned encoding of the value.
 
     Parameters
     ----------
@@ -42,12 +42,7 @@ class FsmGenerator:
     """
 
     def __init__(self, value: int, width: int):
-        self.width = width
-        self.load(value)
-
-    def load(self, value: int) -> None:
-        """Load a word into the remainder register."""
-        check_word(value, self.width)
+        check_word(value, width)
         self.remainder = value
 
     @property
@@ -55,13 +50,8 @@ class FsmGenerator:
         """EMITTING while bits remain, else DONE."""
         return GeneratorState.EMITTING if self.remainder else GeneratorState.DONE
 
-    @property
-    def or_out(self) -> int:
-        """OR-reduction of the remainder register: 1 while bits remain."""
-        return 1 if self.remainder else 0
-
     def step(self) -> int:
-        """Advance one clock cycle; returns the emitted bit, ``or_out``."""
+        """Advance one clock cycle; returns the emitted bit (1 while bits remain)."""
         if self.remainder:
             self.remainder -= 1
             return 1

@@ -19,7 +19,6 @@ from unarysort.bitstream import (
     UnaryStream,
     decode,
     encode_right_aligned,
-    is_right_aligned,
     stream_length,
 )
 from unarysort.min_sorter import sort_ascending
@@ -214,7 +213,7 @@ class TestSortStreams:
         streams = [encode_right_aligned(v, 3) for v in values]
         outputs = sort_streams(network, streams)
         assert [decode(s).value for s in outputs] == sorted(values)
-        assert all(is_right_aligned(s) for s in outputs)
+        assert outputs == [encode_right_aligned(v, 3) for v in sorted(values)]
 
     def test_lane_count_checked(self):
         network = build_bitonic_network(4)

@@ -12,7 +12,6 @@ from unarysort.bitstream import (
     decode,
     emission_str,
     encode_right_aligned,
-    is_right_aligned,
     stream_length,
     written_str,
 )
@@ -29,12 +28,6 @@ class TestBinaryValue:
         BinaryValue((1 << 32) - 1, 32)
 
 
-def _load(value, width):
-    unit = FsmGenerator(0, 1)
-    unit.width = width  # the register width load checks against
-    unit.load(value)
-
-
 @pytest.mark.parametrize("value,width,message", [
     (0, 0, "width must be in 1..32, got 0"),
     (0, 33, "width must be in 1..32, got 33"),
@@ -42,10 +35,10 @@ def _load(value, width):
     (8, 3, "value 8 not representable in 3 bits"),
 ])
 @pytest.mark.parametrize("make", [
-    check_word, BinaryValue, FsmGenerator, _load,
+    check_word, BinaryValue, FsmGenerator, encode_right_aligned,
     lambda value, width: MinSortEngine([0, value], width),
     lambda value, width: MaxSortEngine([0, value], width),
-], ids=["check_word", "BinaryValue", "FsmGenerator", "FsmGenerator.load",
+], ids=["check_word", "BinaryValue", "FsmGenerator", "encode_right_aligned",
         "MinSortEngine", "MaxSortEngine"])
 def test_one_word_rule(make, value, width, message):
     with pytest.raises(ValueError) as caught:
@@ -108,20 +101,6 @@ class TestDecode:
         assert decode(UnaryStream((0, 0, 0, 0, 1, 1, 1, 1))).value == 4
 
 
-class TestAlignment:
-    @pytest.mark.parametrize(
-        "bits,expected",
-        [
-            ((1, 1, 0, 0), True),
-            ((1, 0, 1, 0), False),
-            ((0, 0, 0, 0), True),
-            ((0, 1), False),
-        ],
-    )
-    def test_is_right_aligned(self, bits, expected):
-        assert is_right_aligned(UnaryStream(bits)) is expected
-
-
 class TestDisplay:
     def test_written_is_reverse_of_emission(self):
         s = encode_right_aligned(3, 3)
@@ -142,7 +121,6 @@ class TestRoundTrip:
             for v in range(1 << m):
                 s = encode_right_aligned(v, m)
                 assert decode(s).value == v
-                assert is_right_aligned(s)
 
     def test_encode_injective(self):
         for m in range(1, 9):

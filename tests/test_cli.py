@@ -209,6 +209,20 @@ class TestSort:
             f"error: {path} line 2: not an integer: 'x'\n"
         )
 
+    @pytest.mark.parametrize("field", ["\u0663", "1_000", "+5", "-1", "0x7"])
+    def test_only_ascii_digit_fields_are_integers(self, tmp_path, capsys, field):
+        path = tmp_path / "in.csv"
+        path.write_text(f"2,{field}\n", encoding="utf-8")
+        assert run(["sort", "--input", str(path), "--m", "16"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path} line 1: not an integer: {field!r}\n")
+
+    def test_blanks_around_a_field_are_allowed(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text(" 7 ,\t2\t, 5\n")
+        assert run(["sort", "--input", str(path), "--m", "3"]) == 0
+        assert capsys.readouterr() == ("2,5,7\n", "")
+
     def test_batcher_trace_rejected_before_sorting(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
         path.write_text("4,6,4,0\n")
@@ -310,6 +324,13 @@ class TestBench:
             f"error: {path} line 2: not an integer: ''\n"
         )
 
+    def test_input_without_file_dist_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "vectors.csv"
+        path.write_text("1,2\n")
+        assert run(["bench", "--input", str(path), "--trials", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: dist 'file' and an input path go together\n")
+
     def test_non_utf8_input_names_file(self, tmp_path, capsys):
         path = tmp_path / "vectors.csv"
         path.write_bytes(b"1,2\n\xff,3\n")
@@ -355,6 +376,10 @@ class TestCost:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --n: not an integer: ''\n"
+
+    def test_signed_entry_names_flag(self, capsys):
+        assert run(["cost", "--n", "8", "--m", "+8"]) == 1
+        assert capsys.readouterr() == ("", "error: --m: not an integer: '+8'\n")
 
     def test_single_cell(self, capsys):
         assert run(["cost", "--n", "8", "--m", "8"]) == 0

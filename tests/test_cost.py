@@ -101,16 +101,16 @@ class TestOrdering:
             for n, m in GRID:
                 if n < 16:
                     continue
-                assert score(Architecture.MIN_SORTER, n, m, weights) < score(
-                    Architecture.MAX_SORTER, n, m, weights
+                assert gate_equiv(resources(Architecture.MIN_SORTER, n, m), weights) < (
+                    gate_equiv(resources(Architecture.MAX_SORTER, n, m), weights)
                 ), (n, m)
 
     def test_stability_at_eight_inputs(self):
         # at N=8 the margin is one adder vs an 8-lane mux; +/-20% holds
         for weights in _perturbed_corners(0.2):
             for m in TABLE_M:
-                assert score(Architecture.MIN_SORTER, 8, m, weights) < score(
-                    Architecture.MAX_SORTER, 8, m, weights
+                assert gate_equiv(resources(Architecture.MIN_SORTER, 8, m), weights) < (
+                    gate_equiv(resources(Architecture.MAX_SORTER, 8, m), weights)
                 )
 
 

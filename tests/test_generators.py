@@ -13,20 +13,18 @@ class TestFsmUnit:
     def test_load(self):
         unit = FsmGenerator(4, 3)
         assert unit.remainder == 4
-        assert unit.or_out == 1
         assert unit.state is GeneratorState.EMITTING
 
     def test_load_zero(self):
         unit = FsmGenerator(0, 3)
         assert unit.state is GeneratorState.DONE  # derived from the remainder
-        assert unit.or_out == 0
         assert unit.step() == 0
         assert unit.state is GeneratorState.DONE
 
     def test_load_max(self):
         unit = FsmGenerator(7, 3)
         assert unit.remainder == 7
-        assert unit.or_out == 1
+        assert unit.state is GeneratorState.EMITTING
 
     def test_step_decrements(self):
         # the subtract-the-emitted-bit recurrence: 4 -> 3 -> 2 -> 1 -> 0
@@ -52,7 +50,6 @@ class TestFsmUnit:
         for _ in range(8):
             unit.step()
             assert (unit.state is GeneratorState.DONE) == (unit.remainder == 0)
-            assert unit.or_out == (1 if unit.remainder else 0)
 
     def test_exactly_one_transition_when_nonzero(self):
         for v in range(1, 16):
@@ -65,13 +62,6 @@ class TestFsmUnit:
                     transitions += 1
                     prev = unit.state
             assert transitions == 1
-
-    def test_reload_restarts(self):
-        unit = FsmGenerator(0, 3)
-        unit.step()
-        unit.load(2)
-        assert unit.state is GeneratorState.EMITTING
-        assert [unit.step() for _ in range(8)] == [1, 1, 0, 0, 0, 0, 0, 0]
 
     def test_deterministic(self):
         a = [FsmGenerator(5, 3).step() for _ in range(1)]

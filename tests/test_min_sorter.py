@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from unarysort.generators import GeneratorState
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine, sort_ascending
 from unarysort.trace import Phase, TraceEvent
@@ -27,7 +28,7 @@ class TestEngineConstruction:
 
     def test_zero_inputs_start_inactive(self):
         engine = MinSortEngine([0, 0], 3)
-        assert [u.or_out for u in engine.units] == [0, 0]
+        assert [u.state for u in engine.units] == [GeneratorState.DONE] * 2
 
 
 class TestWorkedExample:

@@ -1,7 +1,9 @@
 """Property tests of the sorters, their traces and the CSV readers.
 
 Inputs stay small (N <= 16, m <= 6) so that the whole module runs in a few
-seconds; the exhaustive and closed-form checks live in the other modules.
+seconds; only the span-mode Batcher, whose cost follows N and not 2**m, is
+also run on wide words.  The exhaustive and closed-form checks live in the
+other modules.
 """
 
 import itertools
@@ -76,6 +78,20 @@ def test_run_logs_what_ticks_log(engine_cls, vector):
 def test_network_modes_sort(vector):
     values, width = vector
     assert batcher_sort(values, width) == batcher_sort_batch(values, width) == sorted(values)
+
+
+@st.composite
+def wide_vectors(draw):
+    """(values, width): a width in 17..32 and N in {2, 4, ..., 64} words of it."""
+    width = draw(st.integers(17, 32))
+    n = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    return draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n)), width
+
+
+@given(wide_vectors())
+def test_batcher_sorts_wide_words(vector):
+    values, width = vector
+    assert batcher_sort(values, width) == sorted(values)
 
 
 @st.composite
