@@ -77,20 +77,24 @@ def sample_trial(cfg: BenchConfig, trial: int) -> list[int]:
     raise ValueError("file trials are loaded, not sampled")
 
 
-def parse_ints(text: str, source: str) -> list[int]:
-    """The integers in a comma-separated list of ASCII digit fields, each
-    with optional blanks around it; an error names ``source`` (a file and
-    line, or a flag) and the bad field."""
-    values = []
-    for field in text.split(","):
-        digits = field.strip(" \t")
+def parse_int(field: str) -> int:
+    """One field: ASCII digits with optional spaces or tabs around them."""
+    digits = field.strip(" \t")
+    if digits.isascii() and digits.isdigit():
         try:
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError
-            values.append(int(digits))
-        except ValueError:
-            raise ValueError(f"{source}: not an integer: {field.strip()!r}") from None
-    return values
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"not an integer: {field.strip()!r}")
+
+
+def parse_ints(text: str, source: str) -> list[int]:
+    """The integers in a comma-separated list of ``parse_int`` fields; an
+    error names ``source`` (a file and line, or a flag) and the bad field."""
+    try:
+        return [parse_int(field) for field in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_trials(path: str | Path) -> list[list[int]]:

@@ -1,7 +1,9 @@
-"""Command-line harness: generate, sort, bench, cost, compare.
+"""Command-line harness: generate, sort, bench, cost, compare, network.
 
-Exit status: 0 on success, 1 on validation errors, 2 when an ``--check``
-oracle comparison fails.
+Every integer argument is read like a CSV field: ASCII digits with optional
+spaces or tabs around them.  Exit status: 0 on success; 1 when an argument
+or an input is refused, with one ``error: `` line on stderr and no usage
+block; 2 when a ``--check`` oracle comparison fails.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .bench import (
     BenchConfig,
     OracleMismatch,
     load_trials,
+    parse_int,
     parse_ints,
     run_bench,
     write_bench_csv,
@@ -40,11 +43,19 @@ MAX_NETWORK_INPUTS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad arguments; this harness reserves 2
-    # for oracle mismatches and reports validation problems with 1
+    # argparse prints usage and exits with status 2 on a bad argument; this
+    # harness reserves 2 for oracle mismatches, and main reports every
+    # refusal as one line with status 1
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+        raise ValueError(message)
+
+
+def _integer(field: str) -> int:
+    # argparse rewords a type's ValueError but keeps this message, after the name
+    try:
+        return parse_int(field)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_values(path: str) -> list[int]:
@@ -149,15 +160,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="print both generators' streams")
-    p.add_argument("value", type=int)
-    p.add_argument("--m", type=int, default=3,
+    p.add_argument("value", type=_integer)
+    p.add_argument("--m", type=_integer, default=3,
                    help=f"data width in bits, at most {MAX_GENERATE_WIDTH}")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sort", help="sort a CSV of integers")
     p.add_argument("--input", required=True, help="CSV file of unsigned integers")
     p.add_argument("--arch", choices=("min", "max", "batcher"), default="min")
-    p.add_argument("--m", type=int, default=8)
+    p.add_argument("--m", type=_integer, default=8)
     p.add_argument("--output", help="write sorted CSV here instead of stdout")
     p.add_argument("--trace", help="write the cycle trace CSV here")
     p.add_argument("--check", action="store_true",
@@ -166,13 +177,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="cycle-count benchmark over random inputs")
     p.add_argument("--arch", choices=ARCHS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--m", type=_integer)
     p.add_argument("--dist", choices=DISTS)
     p.add_argument("--mu", type=float)
     p.add_argument("--sigma", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=_integer)
+    p.add_argument("--seed", type=_integer)
     p.add_argument("--input", dest="input_path", metavar="INPUT",
                    help="CSV of input vectors, one per row (dist=file)")
     p.add_argument("--output", help="CSV path; a .meta.json sidecar is written too")
@@ -188,12 +199,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="run all three architectures on one input")
     p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int, default=8)
+    p.add_argument("--m", type=_integer, default=8)
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("network", help="dump a bitonic CAS network")
-    p.add_argument("--n", type=int, default=8,
+    p.add_argument("--n", type=_integer, default=8,
                    help=f"input count, a power of two up to {MAX_NETWORK_INPUTS}")
     p.set_defaults(func=cmd_network)
 
@@ -201,9 +212,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OracleMismatch as exc:
         print(f"check failed: {exc}", file=sys.stderr)

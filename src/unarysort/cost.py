@@ -36,8 +36,10 @@ ordering.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import MappingProxyType
 
 from .batcher import cas_count
 from .bitstream import MAX_WIDTH
@@ -67,34 +69,27 @@ class ResourceCount:
                 raise ValueError(f"{name} must be >= 0, got {count}")
 
 
-@dataclass(frozen=True)
-class WeightSet:
-    """Gate-equivalent weight per resource category, all > 0.
+# Gate-equivalent weight per ResourceCount field, all > 0: typical
+# NAND2-equivalent folklore values; only the ordering of weighted scores
+# carries meaning.
+WEIGHTS = MappingProxyType({
+    "registers_bits": 4.0,
+    "adder_bits": 5.0,
+    "comparator_bits": 3.0,
+    "or_inputs": 1.0,
+    "encoder_inputs": 2.0,
+    "mux_inputs": 1.0,
+    "cas_blocks": 2.0,
+})
 
-    Defaults are typical NAND2-equivalent folklore values; only the
-    ordering of weighted scores carries meaning.
-    """
-
-    register_bit: float = 4.0
-    adder_bit: float = 5.0
-    comparator_bit: float = 3.0
-    or_input: float = 1.0
-    encoder_input: float = 2.0
-    mux_input: float = 1.0
-    cas_block: float = 2.0
-
-    def __post_init__(self):
-        for name, w in vars(self).items():
-            if w <= 0:
-                raise ValueError(f"{name} must be > 0, got {w}")
-
-
-DEFAULT_WEIGHTS = WeightSet()
+# every count stays below 2**53 up to this N, so the float scores are exact
+# (an N past about 2**1000 would not even convert to a float)
+MAX_INPUTS = 2**32
 
 
 def _validate_config(n: int, m: int) -> None:
-    if n < 2:
-        raise ValueError(f"input count must be >= 2, got {n}")
+    if not 2 <= n <= MAX_INPUTS:
+        raise ValueError(f"input count must be in 2..{MAX_INPUTS}, got {n}")
     if not 1 <= m <= MAX_WIDTH:
         raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {m}")
 
@@ -103,8 +98,6 @@ def resources(arch: Architecture, n: int, m: int) -> ResourceCount:
     """Block counts for one architecture at configuration (N, M)."""
     _validate_config(n, m)
     if arch is Architecture.BATCHER:
-        if n & (n - 1):
-            raise ValueError(f"Batcher input count must be a power of two, got {n}")
         return ResourceCount(
             registers_bits=(
                 n * m      # generator value registers
@@ -139,17 +132,9 @@ def resources(arch: Architecture, n: int, m: int) -> ResourceCount:
     return replace(common, mux_inputs=n * m)  # value readout mux
 
 
-def gate_equiv(rc: ResourceCount, weights: WeightSet = DEFAULT_WEIGHTS) -> float:
+def gate_equiv(rc: ResourceCount, weights: Mapping[str, float] = WEIGHTS) -> float:
     """Weighted block count; compare scores only against each other."""
-    return (
-        rc.registers_bits * weights.register_bit
-        + rc.adder_bits * weights.adder_bit
-        + rc.comparator_bits * weights.comparator_bit
-        + rc.or_inputs * weights.or_input
-        + rc.encoder_inputs * weights.encoder_input
-        + rc.mux_inputs * weights.mux_input
-        + rc.cas_blocks * weights.cas_block
-    )
+    return sum(count * weights[name] for name, count in vars(rc).items())
 
 
 def score(arch: Architecture, n: int, m: int) -> float:

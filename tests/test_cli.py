@@ -1,16 +1,48 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unarysort import bench, cli
 from unarysort.bench import BenchConfig
 from unarysort.max_sorter import MaxSortEngine
 
+# fields the CSV grammar refuses: a digit of another script, an underscore,
+# a sign, a hex prefix, a list, a blank, and more digits than int() converts
+BAD_FIELDS = ["\u0663", "1_0", "+5", "-1", "0x7", "8,16", "", "1" * 4301]
+BAD_FIELD_IDS = ["arabic-indic", "underscore", "plus", "minus", "hex", "list",
+                 "blank", "4301-digits"]
+
+# every integer argument, in an argv that is valid but for that field (None)
+INTEGER_ARGUMENTS = [
+    ("value", ["generate", None]),
+    ("--m", ["generate", "4", "--m", None]),
+    ("--m", ["sort", "--input", "in.csv", "--m", None]),
+    ("--m", ["bench", "--trials", "2", "--m", None]),
+    ("--n", ["bench", "--trials", "2", "--n", None]),
+    ("--trials", ["bench", "--trials", None]),
+    ("--seed", ["bench", "--trials", "2", "--seed", None]),
+    ("--m", ["compare", "--input", "in.csv", "--m", None]),
+    ("--n", ["network", "--n", None]),
+]
+
 
 def run(argv):
     return cli.main(argv)
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
 
 
 class UnsortingEngine:
@@ -40,9 +72,7 @@ class TestGenerate:
         assert "error" in capsys.readouterr().err
 
     def test_bad_argument_exits_one(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["generate", "not-a-number"])
-        assert exc.value.code == 1
+        assert run(["generate", "not-a-number"]) == 1
 
     def test_widest_allowed(self, capsys):
         assert run(["generate", "5", "--m", str(cli.MAX_GENERATE_WIDTH)]) == 0
@@ -53,6 +83,60 @@ class TestGenerate:
     def test_too_wide_exits_one_and_prints_nothing(self, capsys):
         assert run(["generate", "5", "--m", str(cli.MAX_GENERATE_WIDTH + 1)]) == 1
         assert capsys.readouterr() == ("", "error: --m must be at most 16, got 17\n")
+
+
+class TestArguments:
+    @pytest.mark.parametrize("field", BAD_FIELDS, ids=BAD_FIELD_IDS)
+    @pytest.mark.parametrize("name, argv", INTEGER_ARGUMENTS,
+                             ids=[f"{a[0]} {n}" for n, a in INTEGER_ARGUMENTS])
+    def test_integer_argument_takes_one_csv_field(
+        self, tmp_path, monkeypatch, capsys, name, argv, field
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.csv").write_text("4,6,4,0\n")
+        assert run([field if arg is None else arg for arg in argv]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: argument {name}: not an integer: {field!r}\n")
+
+    def test_blanks_around_an_integer_argument_are_allowed(self, capsys):
+        assert run(["generate", " 4 ", "--m", "\t3"]) == 0
+        out = capsys.readouterr().out
+        assert run(["generate", "4", "--m", "3"]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("argv, name", [
+        ([], "command"),
+        (["frob"], "frob"),
+        (["sort"], "--input"),
+        (["compare", "--m", "3"], "--input"),
+        (["sort", "--input", "in.csv", "--arch", "bogus"], "--arch"),
+        (["generate", "4", "--bogus"], "--bogus"),
+    ], ids=["no-command", "bad-command", "sort-no-input", "compare-no-input",
+            "bad-arch", "unknown-flag"])
+    def test_refusal_is_one_error_line_without_usage(self, capsys, argv, name):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+        assert name in err and "usage" not in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sort", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: unarysort sort")
+
+    @pytest.mark.parametrize("argv", [[], ["generate", "\u0663"]], ids=["empty", "bad-value"])
+    def test_module_entry_point_exits_one(self, argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "unarysort.cli", *argv], capture_output=True,
+            encoding="utf-8", timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert_one_error_line(done.stderr)
 
 
 class TestSort:
@@ -381,6 +465,23 @@ class TestCost:
         assert run(["cost", "--n", "8", "--m", "+8"]) == 1
         assert capsys.readouterr() == ("", "error: --m: not an integer: '+8'\n")
 
+    def test_input_count_past_the_float_range_is_refused(self, tmp_path, capsys):
+        n = 2**1100
+        out = tmp_path / "cost.csv"
+        assert run(["cost", "--n", f"8,{n}", "--m", "8", "--output", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: input count must be in 2..4294967296, got {n}\n")
+        assert not out.exists()
+
+    def test_batcher_input_count_refused_as_in_sort(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("4,6,4\n")
+        assert run(["sort", "--input", str(path), "--arch", "batcher", "--m", "3"]) == 1
+        refusal = capsys.readouterr()
+        assert run(["cost", "--n", "3", "--m", "3"]) == 1
+        assert capsys.readouterr() == refusal == (
+            "", "error: input count must be a power of two >= 2, got 3\n")
+
     def test_single_cell(self, capsys):
         assert run(["cost", "--n", "8", "--m", "8"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
@@ -448,3 +549,147 @@ class TestNetwork:
         # checked before the power-of-two rule
         assert run(["network", "--n", str(cli.MAX_NETWORK_INPUTS + 1)]) == 1
         assert capsys.readouterr() == ("", "error: --n must be at most 1024, got 1025\n")
+
+
+# --- the whole contract, over generated argument lists and input files ---
+
+def mostly(usual, rare):
+    """``usual`` in about three draws of four, else ``rare``."""
+    return st.sampled_from([usual, usual, usual, rare]).flatmap(lambda strategy: strategy)
+
+
+HUGE = str(2**1100)
+REFUSED = st.sampled_from(BAD_FIELDS)
+WIDTHS = mostly(st.integers(1, 16), st.integers(-1, 40)).map(str)
+INPUTS = st.just("in.csv")
+# a field with the value it reads as: blanks around it are allowed, and a
+# huge value passes the grammar but not the width check
+GOOD_FIELD = st.builds(
+    lambda before, value, after: (f"{before}{value}{after}", value),
+    st.sampled_from(["", " ", "\t"]),
+    mostly(st.integers(0, 15),
+           st.integers(16, 300) | st.sampled_from([2**16 - 1, 2**32 - 1, 2**64, 10**30])),
+    st.sampled_from(["", " ", "\t"]),
+)
+# "8,16" is two good fields inside a file
+FILE_BAD_FIELDS = [f for f in BAD_FIELDS if f != "8,16"]
+
+
+@st.composite
+def input_files(draw):
+    """(bytes, values): rows mostly of one length, blank rows among them,
+    and at most one flaw; values is None when the file is no valid vector."""
+    size = draw(st.sampled_from([2, 4, 1]))
+    row = st.lists(GOOD_FIELD, min_size=size, max_size=size) | st.lists(GOOD_FIELD, max_size=4)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    flaw = draw(mostly(st.none(), st.sampled_from(["bom", "non-utf8", "bad-field"])))
+    if flaw == "bad-field" and any(rows):
+        row = draw(st.sampled_from([row for row in rows if row]))
+        row[draw(st.integers(0, len(row) - 1))] = (
+            draw(st.sampled_from(FILE_BAD_FIELDS)), None)
+    blank = st.sampled_from(["", " \t"])
+    texts = [",".join(text for text, _ in row) or draw(blank) for row in rows]
+    values = [v for row, text in zip(rows, texts) if text.strip() for _, v in row]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = newline.join(texts).encode() + draw(st.sampled_from([b"", newline.encode()]))
+    if flaw == "bom":
+        data = b"\xef\xbb\xbf" + data
+    if flaw == "non-utf8":
+        data += b"\xff"
+    if flaw in ("bom", "non-utf8") or not values or None in values:
+        values = None
+    return data, values
+
+
+@st.composite
+def invocations(draw):
+    """One subcommand's argv with each value from its working range (out of
+    range ones included); in about one draw of four, one value is then
+    swapped for one that the grammar, the choices or the file system refuse."""
+    command = draw(st.sampled_from(["sort", "compare", "bench", "generate", "cost",
+                                    "network"]))
+    argv, swaps = [command], []
+
+    def add(flag, good=None, bad=REFUSED, optional=True):
+        if optional and draw(st.booleans()):
+            return
+        if flag:
+            argv.append(flag)
+        if good is not None:
+            argv.append(draw(good))
+            swaps.append((len(argv) - 1, bad))
+
+    if command == "generate":
+        add(None, mostly(st.integers(0, 20).map(str), st.just(HUGE)), optional=False)
+        add("--m", WIDTHS)
+    if command in ("sort", "compare"):
+        add("--input", INPUTS, st.sampled_from(["missing.csv", "."]), optional=False)
+        add("--m", WIDTHS)
+    if command == "sort":
+        add("--arch", st.sampled_from(["min", "max", "batcher"]), st.just("bogus"))
+        add("--output", st.just("out.csv"), st.just("."))
+        add("--trace", st.just("trace.csv"), st.just("out.csv"))
+    if command == "bench":
+        # --n and --trials have no upper limit yet, and a run costs their
+        # product, so they come from small ranges (--trials would default to 1000)
+        add("--trials", st.integers(1, 3).map(str), REFUSED | st.just("0"), optional=False)
+        add("--n", st.integers(2, 5).map(str), REFUSED | st.sampled_from(["0", "1"]))
+        add("--m", WIDTHS)
+        add("--arch", st.sampled_from(["min", "max"]), st.just("bogus"))
+        if draw(st.booleans()):
+            add("--dist", st.just("file"), st.just("gaussian"), optional=False)
+            add("--input", INPUTS, st.just("missing.csv"), optional=False)
+        else:
+            add("--dist", st.sampled_from(["gaussian", "uniform"]), st.just("file"))
+        add("--mu", st.sampled_from(["8", "128", "1e300"]), st.sampled_from(["nan", "inf"]))
+        add("--sigma", st.sampled_from(["2", "0"]), st.sampled_from(["-1", "nan"]))
+        add("--seed", mostly(st.integers(0, 2**70).map(str), st.just(HUGE)))
+        add("--output", st.just("out.csv"), st.just("."))
+    if command == "cost":
+        cost_n = st.integers(2, 300) | st.sampled_from([1024, 2**32, 2**32 + 1, 2**1100])
+        add("--n", st.lists(cost_n.map(str), min_size=1, max_size=3).map(",".join))
+        add("--m", st.lists(WIDTHS, min_size=1, max_size=3).map(",".join))
+        add("--output", st.just("out.csv"), st.just("."))
+    if command in ("sort", "bench", "compare"):
+        add("--check")
+    if command == "network":
+        add("--n", mostly(st.integers(-1, 1100).map(str),
+                          st.sampled_from(["2", "64", "1024", HUGE])))
+    if swaps and draw(mostly(st.just(False), st.just(True))):
+        index, bad = draw(st.sampled_from(swaps))
+        argv[index] = draw(bad)
+    return argv
+
+
+@settings(max_examples=200)
+@given(invocations(), input_files())
+def test_every_invocation_keeps_the_cli_contract(argv, input_file):
+    data, values = input_file
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            Path("in.csv").write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            left = sorted(os.listdir())
+            written = Path("out.csv").read_text() if "out.csv" in left else None
+        finally:
+            os.chdir(cwd)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert_one_error_line(err)
+    else:
+        assert code == 2 and "--check" in argv and err.startswith("check failed: ")
+    if code:
+        assert left == ["in.csv"]
+    if argv[:3] == ["sort", "--input", "in.csv"]:
+        if values is None:
+            assert code == 1
+        if code == 0:
+            expected = sorted(values, reverse="max" in argv)
+            printed = written if "--output" in argv else out
+            assert printed == ",".join(map(str, expected)) + "\n"

@@ -3,12 +3,12 @@ import itertools
 import pytest
 
 from unarysort.cost import (
-    Architecture,
-    DEFAULT_WEIGHTS,
-    ResourceCount,
+    MAX_INPUTS,
     TABLE_M,
     TABLE_N,
-    WeightSet,
+    WEIGHTS,
+    Architecture,
+    ResourceCount,
     cost_table,
     gate_equiv,
     resources,
@@ -19,11 +19,9 @@ GRID = [(n, m) for n in TABLE_N for m in TABLE_M]
 
 
 def _perturbed_corners(radius):
-    names = list(vars(DEFAULT_WEIGHTS))
+    names = list(WEIGHTS)
     for factors in itertools.product((1 - radius, 1 + radius), repeat=len(names)):
-        yield WeightSet(
-            **{n: getattr(DEFAULT_WEIGHTS, n) * f for n, f in zip(names, factors)}
-        )
+        yield {n: WEIGHTS[n] * f for n, f in zip(names, factors)}
 
 
 class TestResourceCount:
@@ -41,6 +39,17 @@ class TestResourceCount:
             resources(Architecture.MIN_SORTER, 8, 0)
         with pytest.raises(ValueError):
             resources(Architecture.BATCHER, 6, 8)
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_input_count_bound(self, arch):
+        # at the largest N every count is an exact float; past it, and past
+        # the float range, every architecture refuses with one message
+        assert all(c < 2**53 for c in vars(resources(arch, MAX_INPUTS, 32)).values())
+        assert score(arch, MAX_INPUTS, 32) < 2**53
+        for n in (MAX_INPUTS + 1, 2**1100):
+            with pytest.raises(ValueError) as info:
+                resources(arch, n, 8)
+            assert str(info.value) == f"input count must be in 2..{MAX_INPUTS}, got {n}"
 
     @pytest.mark.parametrize(
         "n,m", GRID + [(2, m) for m in TABLE_M] + [(n, 1) for n in TABLE_N]
@@ -61,18 +70,16 @@ class TestResourceCount:
 
 
 class TestWeightSet:
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            WeightSet(register_bit=0)
+    def test_one_positive_weight_per_resource_category(self):
+        assert list(WEIGHTS) == list(vars(ResourceCount()))
+        assert all(w > 0 for w in WEIGHTS.values())
 
     def test_gate_equiv_zero(self):
         assert gate_equiv(ResourceCount()) == 0
 
     def test_linearity(self):
         rc = resources(Architecture.MIN_SORTER, 8, 16)
-        doubled = WeightSet(
-            **{name: 2 * w for name, w in vars(DEFAULT_WEIGHTS).items()}
-        )
+        doubled = {name: 2 * w for name, w in WEIGHTS.items()}
         assert gate_equiv(rc, doubled) == pytest.approx(2 * gate_equiv(rc))
 
 
