@@ -19,13 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bitstream import MAX_WIDTH
+from .bitstream import check_width
 from .max_sorter import MaxSortEngine
 from .min_sorter import MinSortEngine
 from .trace import CycleTrace
 
 ARCHS = ("min", "max")
 DISTS = ("gaussian", "uniform", "file")
+# a run holds a trials x n matrix of int64 cycles: 78 MiB at both caps
+MAX_N = 1024           # the `network --n` cap
+MAX_TRIALS = 10_000    # ten times the default
 
 
 class OracleMismatch(Exception):
@@ -51,12 +54,11 @@ class BenchConfig:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if (self.dist == "file") != bool(self.input_path):
             raise ValueError("dist 'file' and an input path go together")
-        if self.n < 2:
-            raise ValueError("need at least two inputs")
-        if not 1 <= self.m <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 2 <= self.n <= MAX_N:
+            raise ValueError(f"n must be in 2..{MAX_N}, got {self.n}")
+        check_width(self.m)
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
@@ -165,12 +167,15 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
             if len(vec) != len(trials[0]):
                 raise ValueError(f"{cfg.input_path}: row {row} has {len(vec)} values, "
                                  f"row 1 has {len(trials[0])}")
-        cfg = BenchConfig(**{**asdict(cfg), "n": len(trials[0]),
-                             "trials": len(trials)})
-    else:
-        trials = [sample_trial(cfg, i) for i in range(cfg.trials)]
+        try:  # the caps hold for a file's rows and columns too
+            cfg = BenchConfig(**{**asdict(cfg), "n": len(trials[0]),
+                                 "trials": len(trials)})
+        except ValueError as exc:
+            raise ValueError(f"{cfg.input_path}: {exc}") from None
+    else:  # sampled one at a time, so only one trial is held
+        trials = (sample_trial(cfg, i) for i in range(cfg.trials))
 
-    cycles = np.empty((len(trials), cfg.n), dtype=np.int64)
+    cycles = np.empty((cfg.trials, cfg.n), dtype=np.int64)
     for i, values in enumerate(trials):
         try:
             measured = _run_engine(cfg, values)

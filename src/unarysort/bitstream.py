@@ -14,10 +14,15 @@ from dataclasses import dataclass
 MAX_WIDTH = 32
 
 
-def check_word(value: int, width: int) -> None:
-    """Raise ValueError unless ``1 <= width <= 32`` and ``0 <= value < 2**width``."""
+def check_width(width: int) -> None:
+    """Raise ValueError unless ``1 <= width <= 32``."""
     if not 1 <= width <= MAX_WIDTH:
         raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+
+
+def check_word(value: int, width: int) -> None:
+    """Raise ValueError unless the width is valid and ``0 <= value < 2**width``."""
+    check_width(width)
     if not 0 <= value < (1 << width):
         raise ValueError(f"value {value} not representable in {width} bits")
 
@@ -54,18 +59,13 @@ class UnaryStream:
         return sum(self.bits)
 
 
-def stream_length(width: int) -> int:
-    """Stream length for a data width: 2**width."""
-    return 1 << width
-
-
 def encode_right_aligned(value: int, width: int) -> UnaryStream:
     """Reference encoding: exactly ``value`` ones followed by zeros.
 
     This is the oracle every generator in the package is tested against.
     """
     check_word(value, width)
-    return UnaryStream((1,) * value + (0,) * (stream_length(width) - value))
+    return UnaryStream((1,) * value + (0,) * ((1 << width) - value))
 
 
 def decode(stream: UnaryStream) -> BinaryValue:

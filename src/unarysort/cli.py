@@ -1,14 +1,18 @@
 """Command-line harness: generate, sort, bench, cost, compare, network.
 
-Every integer argument is read like a CSV field: ASCII digits with optional
-spaces or tabs around them.  Exit status: 0 on success; 1 when an argument
-or an input is refused, with one ``error: `` line on stderr and no usage
-block; 2 when a ``--check`` oracle comparison fails.
+Every number argument has a field grammar, with optional spaces or tabs
+around the field: an integer is ASCII digits, as in a CSV field, and
+``bench --mu/--sigma`` are decimals (an optional ``-``, ASCII digits with at
+most one ``.``, and an optional exponent such as ``e-3``).  Exit status: 0
+on success; 1 when an argument or an input is refused, with one ``error: ``
+line on stderr and no usage block; 2 when a ``--check`` oracle comparison
+fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict, fields
@@ -17,6 +21,8 @@ from .batcher import batcher_sort, build_bitonic_network
 from .bench import (
     ARCHS,
     DISTS,
+    MAX_N,
+    MAX_TRIALS,
     BenchConfig,
     OracleMismatch,
     load_trials,
@@ -40,6 +46,7 @@ EXIT_MISMATCH = 2
 # dumps N*log2(N)*(log2(N)+1)/4 CAS blocks from a network cached per N
 MAX_GENERATE_WIDTH = 16
 MAX_NETWORK_INPUTS = 1024
+DECIMAL = re.compile(r"[ \t]*-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?[ \t]*")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,6 +63,12 @@ def _integer(field: str) -> int:
         return parse_int(field)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _decimal(field: str) -> float:
+    if not DECIMAL.fullmatch(field):
+        raise argparse.ArgumentTypeError(f"not a number: {field.strip()!r}")
+    return float(field)
 
 
 def _read_values(path: str) -> list[int]:
@@ -177,12 +190,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="cycle-count benchmark over random inputs")
     p.add_argument("--arch", choices=ARCHS)
-    p.add_argument("--n", type=_integer)
+    p.add_argument("--n", type=_integer, help=f"inputs per trial, 2 to {MAX_N}")
     p.add_argument("--m", type=_integer)
     p.add_argument("--dist", choices=DISTS)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--trials", type=_integer)
+    p.add_argument("--mu", type=_decimal)
+    p.add_argument("--sigma", type=_decimal)
+    p.add_argument("--trials", type=_integer, help=f"trial count, 1 to {MAX_TRIALS}")
     p.add_argument("--seed", type=_integer)
     p.add_argument("--input", dest="input_path", metavar="INPUT",
                    help="CSV of input vectors, one per row (dist=file)")
@@ -211,9 +224,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built once: parse_args leaves the parser unchanged, so every call shares it
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         return args.func(args)
     except OracleMismatch as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .batcher import cas_count
-from .bitstream import MAX_WIDTH
+from .bitstream import check_width
 
 
 class Architecture(Enum):
@@ -90,8 +90,7 @@ MAX_INPUTS = 2**32
 def _validate_config(n: int, m: int) -> None:
     if not 2 <= n <= MAX_INPUTS:
         raise ValueError(f"input count must be in 2..{MAX_INPUTS}, got {n}")
-    if not 1 <= m <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {m}")
+    check_width(m)
 
 
 def resources(arch: Architecture, n: int, m: int) -> ResourceCount:

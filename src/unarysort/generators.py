@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .bitstream import UnaryStream, check_word, stream_length
+from .bitstream import UnaryStream, check_word
 
 
 class GeneratorState(Enum):
@@ -61,7 +61,7 @@ class FsmGenerator:
 def fsm_generate(value: int, width: int) -> UnaryStream:
     """Run an :class:`FsmGenerator` for a full stream of ``2**width`` bits."""
     unit = FsmGenerator(value, width)
-    return UnaryStream(tuple(unit.step() for _ in range(stream_length(width))))
+    return UnaryStream(tuple(unit.step() for _ in range(1 << width)))
 
 
 def counter_generate(value: int, width: int) -> UnaryStream:
@@ -73,7 +73,7 @@ def counter_generate(value: int, width: int) -> UnaryStream:
     popcount.
     """
     check_word(value, width)
-    length = stream_length(width)
+    length = 1 << width
     return UnaryStream(
         tuple(1 if value > counter else 0 for counter in range(length - 1, -1, -1))
     )

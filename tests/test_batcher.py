@@ -19,7 +19,6 @@ from unarysort.bitstream import (
     UnaryStream,
     decode,
     encode_right_aligned,
-    stream_length,
 )
 from unarysort.min_sorter import sort_ascending
 
@@ -30,7 +29,7 @@ def per_cycle_sort(values, width):
     streams = [encode_right_aligned(v, width) for v in values]
     network = build_bitonic_network(len(values))
     counts = [0] * len(values)
-    for t in range(stream_length(width)):
+    for t in range(1 << width):
         for lane, bit in enumerate(evaluate(network, [s.bits[t] for s in streams])):
             counts[lane] += bit
     return counts

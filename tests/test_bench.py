@@ -3,6 +3,8 @@ import json
 import pytest
 
 from unarysort.bench import (
+    MAX_N,
+    MAX_TRIALS,
     BenchConfig,
     OracleMismatch,
     detection_cycles,
@@ -40,6 +42,15 @@ class TestConfig:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError, match="sigma must be >= 0"):
             BenchConfig(sigma=-1.0)
+
+    @pytest.mark.parametrize("field, low, cap", [("n", 2, MAX_N), ("trials", 1, MAX_TRIALS)])
+    def test_bounds(self, field, low, cap):
+        for value in (low, cap):
+            assert getattr(BenchConfig(**{field: value}), field) == value
+        for value in (low - 1, cap + 1):
+            with pytest.raises(ValueError) as caught:
+                BenchConfig(**{field: value})
+            assert str(caught.value) == f"{field} must be in {low}..{cap}, got {value}"
 
 
 class TestSampling:
@@ -140,6 +151,17 @@ class TestOutput:
         cfg = BenchConfig(dist="file", input_path=str(path), m=3)
         with pytest.raises(ValueError):
             run_bench(cfg)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1," * MAX_N + "1\n", f"n must be in 2..{MAX_N}, got {MAX_N + 1}"),
+        ("1,2\n" * (MAX_TRIALS + 1), f"trials must be in 1..{MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+    ], ids=["columns", "rows"])
+    def test_file_past_a_cap_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "vectors.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            run_bench(BenchConfig(dist="file", input_path=str(path), m=3))
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "vectors.csv"

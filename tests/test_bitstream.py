@@ -2,6 +2,8 @@ import sys
 
 import pytest
 
+from unarysort.bench import BenchConfig
+from unarysort.cost import Architecture, resources
 from unarysort.generators import FsmGenerator
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
@@ -12,7 +14,6 @@ from unarysort.bitstream import (
     decode,
     emission_str,
     encode_right_aligned,
-    stream_length,
     written_str,
 )
 
@@ -46,6 +47,18 @@ def test_one_word_rule(make, value, width, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("width", [0, 33])
+@pytest.mark.parametrize("make", [
+    lambda width: check_word(0, width),
+    lambda width: BenchConfig(m=width),
+    *(lambda width, arch=arch: resources(arch, 8, width) for arch in Architecture),
+], ids=["check_word", "BenchConfig", *(f"resources-{arch.value}" for arch in Architecture)])
+def test_one_width_rule(make, width):
+    with pytest.raises(ValueError) as caught:
+        make(width)
+    assert str(caught.value) == f"width must be in 1..32, got {width}"
+
+
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
 def test_an_engine_checks_each_word_once(engine_cls, monkeypatch):
     checked = []
@@ -76,7 +89,7 @@ class TestEncode:
 
     def test_length_is_power_of_two(self):
         for m in range(1, 8):
-            assert len(encode_right_aligned(1, m)) == stream_length(m) == 1 << m
+            assert len(encode_right_aligned(1, m)) == 1 << m
 
 
 class TestDecode:

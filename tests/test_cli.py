@@ -36,6 +36,16 @@ INTEGER_ARGUMENTS = [
     ("--n", ["network", "--n", None]),
 ]
 
+# fields the decimal grammar refuses: those of BAD_FIELDS that are no
+# decimal either, non-finite names, two points, a bare point, a bare exponent
+BAD_DECIMALS = ["\u0663", "1_0", "+5", "0x7", "8,16", "", "nan", "inf", "1.2.3", ".", "1e"]
+BAD_DECIMAL_IDS = ["arabic-indic", "underscore", "plus", "hex", "list", "blank", "nan",
+                   "inf", "two-points", "point", "bare-exponent"]
+DECIMAL_ARGUMENTS = [
+    ("--mu", ["bench", "--trials", "2", "--mu", None]),
+    ("--sigma", ["bench", "--trials", "2", "--sigma", None]),
+]
+
 
 def run(argv):
     return cli.main(argv)
@@ -98,6 +108,17 @@ class TestArguments:
         assert capsys.readouterr() == (
             "", f"error: argument {name}: not an integer: {field!r}\n")
 
+    @pytest.mark.parametrize("field", BAD_DECIMALS, ids=BAD_DECIMAL_IDS)
+    @pytest.mark.parametrize("name, argv", DECIMAL_ARGUMENTS,
+                             ids=[name for name, _ in DECIMAL_ARGUMENTS])
+    def test_decimal_argument_takes_one_decimal_field(self, capsys, name, argv, field):
+        assert run([field if arg is None else arg for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: argument {name}: not a number: {field!r}\n")
+
+    @pytest.mark.parametrize("field", ["12.5", "-3", "4e9", "0", " 5. ", "\t.5E-1", "1e400"])
+    def test_decimal_grammar_accepts(self, field):
+        assert cli.PARSER.parse_args(["bench", "--mu", field]).mu == float(field)
+
     def test_blanks_around_an_integer_argument_are_allowed(self, capsys):
         assert run(["generate", " 4 ", "--m", "\t3"]) == 0
         out = capsys.readouterr().out
@@ -125,6 +146,17 @@ class TestArguments:
             run(["sort", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: unarysort sort")
+
+    def test_main_parses_with_the_parser_built_at_import(self, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("build_parser called after import")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert run(["generate", "4", "--m", "3"]) == 0
+        assert run(["network", "--n", "4"]) == 0
+        assert run(["cost", "--n", "4", "--m", "3"]) == 0
+        assert run(["generate", "\u0663"]) == 1
+        assert capsys.readouterr().err == "error: argument value: not an integer: '\u0663'\n"
 
     @pytest.mark.parametrize("argv", [[], ["generate", "\u0663"]], ids=["empty", "bad-value"])
     def test_module_entry_point_exits_one(self, argv):
@@ -389,6 +421,20 @@ class TestBench:
     def test_validation_error(self, capsys):
         assert run(["bench", "--n", "1", "--m", "4"]) == 1
 
+    @pytest.mark.parametrize("flag, cap", [("--n", bench.MAX_N),
+                                           ("--trials", bench.MAX_TRIALS)])
+    def test_caps_are_checked_before_any_sampling(self, monkeypatch, capsys, flag, cap):
+        def sampled(cfg, trial):
+            raise ValueError("sampled")
+
+        monkeypatch.setattr(bench, "sample_trial", sampled)
+        assert run(["bench", flag, str(cap)]) == 1
+        assert capsys.readouterr() == ("", "error: sampled\n")
+        assert run(["bench", flag, str(cap + 1)]) == 1
+        low = 2 if flag == "--n" else 1
+        assert capsys.readouterr() == (
+            "", f"error: {flag[2:]} must be in {low}..{cap}, got {cap + 1}\n")
+
     @pytest.mark.parametrize(
         "flags",
         [["--mu", "nan"], ["--mu", "inf"], ["--sigma", "-1"], ["--seed", "-3"]],
@@ -630,10 +676,11 @@ def invocations(draw):
         add("--output", st.just("out.csv"), st.just("."))
         add("--trace", st.just("trace.csv"), st.just("out.csv"))
     if command == "bench":
-        # --n and --trials have no upper limit yet, and a run costs their
-        # product, so they come from small ranges (--trials would default to 1000)
-        add("--trials", st.integers(1, 3).map(str), REFUSED | st.just("0"), optional=False)
-        add("--n", st.integers(2, 5).map(str), REFUSED | st.sampled_from(["0", "1"]))
+        # a run costs the product of --n and --trials, so they come from small
+        # ranges (--trials would default to 1000); one past each cap is refused
+        add("--trials", st.integers(1, 3).map(str), REFUSED | st.sampled_from(["0", "10001"]),
+            optional=False)
+        add("--n", st.integers(2, 5).map(str), REFUSED | st.sampled_from(["0", "1", "1025"]))
         add("--m", WIDTHS)
         add("--arch", st.sampled_from(["min", "max"]), st.just("bogus"))
         if draw(st.booleans()):
@@ -641,8 +688,9 @@ def invocations(draw):
             add("--input", INPUTS, st.just("missing.csv"), optional=False)
         else:
             add("--dist", st.sampled_from(["gaussian", "uniform"]), st.just("file"))
-        add("--mu", st.sampled_from(["8", "128", "1e300"]), st.sampled_from(["nan", "inf"]))
-        add("--sigma", st.sampled_from(["2", "0"]), st.sampled_from(["-1", "nan"]))
+        add("--mu", st.sampled_from(["8", "128", "1e300"]),
+            st.sampled_from(["nan", "inf", "\u0663", "1_0"]))
+        add("--sigma", st.sampled_from(["2", "0"]), st.sampled_from(["-1", "nan", "\u0663", "1_0"]))
         add("--seed", mostly(st.integers(0, 2**70).map(str), st.just(HUGE)))
         add("--output", st.just("out.csv"), st.just("."))
     if command == "cost":
