@@ -29,6 +29,9 @@ DISTS = ("gaussian", "uniform", "file")
 # a run holds a trials x n matrix of int64 cycles: 78 MiB at both caps
 MAX_N = 1024           # the `network --n` cap
 MAX_TRIALS = 10_000    # ten times the default
+# trials sampled back to back between engine runs: sampling is faster that
+# way, and a run still holds at most one block besides the cycle matrix
+SAMPLE_BLOCK = 64
 
 
 class OracleMismatch(Exception):
@@ -77,6 +80,13 @@ def sample_trial(cfg: BenchConfig, trial: int) -> list[int]:
     if cfg.dist == "uniform":
         return [int(v) for v in rng.integers(0, top + 1, cfg.n)]
     raise ValueError("file trials are loaded, not sampled")
+
+
+def _sampled(cfg: BenchConfig):
+    """Every trial's input vector in order, sampled SAMPLE_BLOCK at a time."""
+    for start in range(0, cfg.trials, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, cfg.trials)
+        yield from [sample_trial(cfg, i) for i in range(start, stop)]
 
 
 def parse_int(field: str) -> int:
@@ -172,8 +182,8 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
                                  "trials": len(trials)})
         except ValueError as exc:
             raise ValueError(f"{cfg.input_path}: {exc}") from None
-    else:  # sampled one at a time, so only one trial is held
-        trials = (sample_trial(cfg, i) for i in range(cfg.trials))
+    else:
+        trials = _sampled(cfg)
 
     cycles = np.empty((cfg.trials, cfg.n), dtype=np.int64)
     for i, values in enumerate(trials):

@@ -19,16 +19,22 @@ the search length, so one that needs more (up to 2**32 at width 32) is
 refused when the engine is built.  Drain cycles, one per input, are not capped.
 
 A subclass supplies only the detector: :meth:`IterativeEngine._fire` runs
-one generation cycle and :meth:`IterativeEngine._value` retrieves the
-detected value.  It also checks the input words and then its search length.
+generation cycles in one local loop, either exactly one or every cycle up
+to and including the first that detects, and :meth:`IterativeEngine._value`
+retrieves the detected value.  It also checks the input words and then its
+search length.  :meth:`IterativeEngine._drain` writes any number of a tie
+group's results, one logged DRAIN cycle each.
 
-Only units in play are stepped: :attr:`IterativeEngine.in_play` lists them
+Only units in play are evaluated: :attr:`IterativeEngine.in_play` lists them
 and is rebuilt only in a search cycle that detects something.  Each is
-stepped once per search cycle by a ``FsmGenerator.step`` or ``max_bit``
+evaluated once per search cycle by a ``FsmGenerator.step`` or ``max_bit``
 call looked up when it is made, because ``perfbench/run.py --self-test``
 counts those calls against the unit-cycles it reads off the trace.
-:meth:`IterativeEngine.run` runs the cycles a loop of ``tick()`` runs, but
-logs only those that detect or write; ``trace.events`` fills the gaps.
+:meth:`IterativeEngine.tick` runs one cycle: ``_fire`` for one search cycle
+or ``_drain(1)``.  :meth:`IterativeEngine.run` shares both: it finishes a
+tie group a ``tick()`` left pending, then alternates ``_fire`` up to the next
+detection with ``_drain`` of the whole group.  It logs only the cycles that
+detect or write; ``trace.events`` fills the gaps.
 """
 
 from __future__ import annotations
@@ -80,8 +86,10 @@ class IterativeEngine:
             raise ValueError(f"search needs more than {SEARCH_BUDGET} generation "
                              f"cycles at width {self.width}; widths up to 16 fit")
 
-    def _fire(self) -> tuple[int, ...]:
-        """Advance the units in play one cycle; indices of those that fire."""
+    def _fire(self, once: bool) -> tuple[int, ...]:
+        """Run generation cycles, advancing ``elapsed``: one if ``once``, else
+        every cycle up to and including the first that detects.  Returns the
+        indices of the units in play that fire in the last of them."""
         raise NotImplementedError
 
     def _value(self) -> int:
@@ -99,45 +107,48 @@ class IterativeEngine:
             return IDLE
         return DRAIN if self.pending else SEARCH
 
-    def _search(self) -> tuple[int, ...]:
-        """One generation cycle, unlogged; returns the indices that fire."""
-        self.elapsed += 1
-        newly = self._fire()
+    def _search(self, once: bool) -> tuple[int, ...]:
+        """Unlogged search cycles (see ``_fire``); latches the units that fire."""
+        newly = self._fire(once)
         if newly:
             fired = set(newly)
             self.in_play = [i for i in self.in_play if i not in fired]
             self.pending = len(newly)
         return newly
 
+    def _drain(self, writes: int) -> None:
+        """Write the next ``writes`` results of the tie group, one logged cycle each."""
+        # tied units hold one value and generation stalls while they drain,
+        # so which of them the priority encoder picks changes no output and
+        # no trace event; the count alone is modelled (cost.py counts the encoder)
+        value, elapsed, cycle = self._value(), self.elapsed, self.cycle
+        append = self.trace.append
+        for address in range(self.out_ptr, self.out_ptr + writes):
+            self.outputs[address] = value
+            cycle += 1
+            append(TraceEvent(cycle, DRAIN, elapsed, (), ((address, value),)))
+        self.cycle = cycle
+        self.out_ptr += writes
+        self.pending -= writes
+
     def tick(self) -> None:
         """Advance one clock cycle."""
         phase = self.phase
-        newly, writes = (), ()
-        if phase is SEARCH:
-            newly = self._search()
-        elif phase is DRAIN:
-            # tied units hold one value and generation stalls while they
-            # drain, so which of them the priority encoder picks changes no
-            # output and no trace event; the count alone is modelled
-            # (cost.py counts the encoder)
-            self.pending -= 1
-            value = self._value()
-            writes = ((self.out_ptr, value),)
-            self.outputs[self.out_ptr] = value
-            self.out_ptr += 1
+        if phase is DRAIN:
+            self._drain(1)
+            return
         # an IDLE tick (after completion) is a no-op, flagged in the trace
+        newly = self._search(once=True) if phase is SEARCH else ()
         self.cycle += 1
-        self.trace.append(TraceEvent(self.cycle, phase, self.elapsed, newly, writes))
+        self.trace.append(TraceEvent(self.cycle, phase, self.elapsed, newly, ()))
 
     def run(self) -> list[int]:
         """Clock until every input has been written; returns the sorted outputs."""
         while not self.done:
-            if self.pending:
-                self.tick()
-                continue
-            start, newly = self.elapsed, ()
-            while not newly:
-                newly = self._search()
-            self.cycle += self.elapsed - start  # past the quiet cycles, unlogged
-            self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
+            if not self.pending:  # else finish the group a tick() left mid-drain
+                start = self.elapsed
+                newly = self._search(once=False)
+                self.cycle += self.elapsed - start  # past the quiet cycles, unlogged
+                self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
+            self._drain(self.pending)
         return list(self.outputs)

@@ -42,17 +42,21 @@ class MaxSortEngine(IterativeEngine):
     # benchmark's per-layer spans do) wraps this sorter and not the min sorter
     run = IterativeEngine.run
 
-    @property
-    def counter(self) -> int:
-        """The shared down counter."""
-        return (1 << self.width) - self.elapsed
-
-    def _fire(self) -> tuple[int, ...]:
-        counter, values = self.counter, self.values
-        return tuple([i for i in self.in_play if max_bit(values[i], counter)])
+    def _fire(self, once: bool) -> tuple[int, ...]:
+        values, in_play, elapsed, newly = self.values, self.in_play, self.elapsed, []
+        top = 1 << self.width
+        while True:
+            elapsed += 1
+            counter = top - elapsed  # the shared down counter
+            for i in in_play:
+                if max_bit(values[i], counter):
+                    newly.append(i)
+            if newly or once:
+                self.elapsed = elapsed
+                return tuple(newly)
 
     def _value(self) -> int:
-        return self.counter  # frozen at the detection cycle
+        return (1 << self.width) - self.elapsed  # the counter, frozen at detection
 
 
 def sort_descending(

@@ -38,9 +38,16 @@ class MinSortEngine(IterativeEngine):
     # benchmark's per-layer spans do) wraps this sorter and not the max sorter
     run = IterativeEngine.run
 
-    def _fire(self) -> tuple[int, ...]:
-        units = self.units
-        return tuple([i for i in self.in_play if not units[i].step()])
+    def _fire(self, once: bool) -> tuple[int, ...]:
+        units, in_play, elapsed, newly = self.units, self.in_play, self.elapsed, []
+        while True:
+            elapsed += 1
+            for i in in_play:
+                if not units[i].step():
+                    newly.append(i)
+            if newly or once:
+                self.elapsed = elapsed
+                return tuple(newly)
 
     def _value(self) -> int:
         # the detected unit emitted a 1 in each generation cycle before its first 0

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from unarysort import bench
 from unarysort.bench import (
     MAX_N,
     MAX_TRIALS,
+    SAMPLE_BLOCK,
     BenchConfig,
     OracleMismatch,
     detection_cycles,
@@ -118,6 +121,31 @@ class TestAggregates:
         result = run_bench(cfg, check=True)
         assert result.mean_cycles == [11.0] * 4
         assert result.std_cycles == [0.0] * 4
+
+    @pytest.mark.parametrize("trials", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK,
+                                        SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 1])
+    def test_blocks_sample_every_trial_once(self, trials, monkeypatch):
+        # trial i is seeded seed + i whatever block samples it, and sampling
+        # never runs more than one block ahead of the engine runs
+        cfg = BenchConfig(n=5, m=6, mu=30, sigma=9, trials=trials, seed=3)
+        cycles = np.array([oracle_cycles(cfg, sample_trial(cfg, i)) for i in range(trials)])
+        sampled, runs, run_engine = [], [0], bench._run_engine
+
+        def sample(cfg, trial):
+            assert trial - runs[0] < SAMPLE_BLOCK
+            sampled.append(trial)
+            return sample_trial(cfg, trial)
+
+        def counted_run(cfg, values):
+            runs[0] += 1
+            return run_engine(cfg, values)
+
+        monkeypatch.setattr(bench, "sample_trial", sample)
+        monkeypatch.setattr(bench, "_run_engine", counted_run)
+        result = run_bench(cfg, check=True)
+        assert sampled == list(range(trials))
+        assert result.mean_cycles == [float(v) for v in cycles.mean(axis=0)]
+        assert result.std_cycles == [float(v) for v in cycles.std(axis=0)]
 
 
 class TestOutput:

@@ -7,7 +7,8 @@ few distinct values add tie groups of up to hundreds of inputs.
 
 ``run()`` is also compared with a loop of ``tick()``, the reference model,
 on the same vectors: it may differ only in leaving quiet search cycles
-unlogged, as gaps between the cycles it logs.
+unlogged, as gaps between the cycles it logs.  A ``run()`` that takes over
+after any number of ticks must end where the tick loop ends.
 """
 
 import itertools
@@ -111,28 +112,48 @@ def test_seeded_tie_heavy_vectors(engine_cls):
         ), (engine_cls.arch, values, width)
 
 
+def fail_empty_search(engine_cls, monkeypatch):
+    """Make a search begun with no unit in play, which would never end, fail."""
+    fire = engine_cls._fire
+
+    def bounded(self, once):
+        assert self.in_play, "search begun with no unit in play"
+        return fire(self, once)
+
+    monkeypatch.setattr(engine_cls, "_fire", bounded)
+
+
+def ticked(engine_cls, values, width, ticks=None):
+    """The reference run: one ``tick()`` per clock until every input is
+    written, or ``ticks`` of them."""
+    engine = engine_cls(values, width)
+    while not engine.done and (ticks is None or engine.cycle < ticks):
+        engine.tick()
+    return engine
+
+
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
 def test_each_unit_evaluated_until_its_detection(engine_cls, monkeypatch):
     # a unit is stepped (min) or compared (max) in every search cycle up to
-    # and including the one that detects it, and never after
+    # and including the one that detects it, and never after: by run(), by
+    # the tick loop, and by a run() that resumes half way through the ticks
     calls = [0]
     if engine_cls is MinSortEngine:
         monkeypatch.setattr(FsmGenerator, "step", counted(FsmGenerator.step, calls))
     else:
         monkeypatch.setattr(max_sorter, "max_bit", counted(max_sorter.max_bit, calls))
+    fail_empty_search(engine_cls, monkeypatch)
     for values, width in SMALL_VECTORS + TIE_HEAVY_VECTORS:
+        expected = sum(detection_cycles(engine_cls.arch, values, width))
         calls[0] = 0
         engine_cls(values, width).run()
-        assert calls[0] == sum(detection_cycles(engine_cls.arch, values, width)), (
-            values, width)
-
-
-def ticked(engine_cls, values, width):
-    """The reference run: one ``tick()`` per clock until every input is written."""
-    engine = engine_cls(values, width)
-    while not engine.done:
-        engine.tick()
-    return engine
+        assert calls[0] == expected, ("run", values, width)
+        calls[0] = 0
+        cycles = ticked(engine_cls, values, width).cycle
+        assert calls[0] == expected, ("ticks", values, width)
+        calls[0] = 0
+        ticked(engine_cls, values, width, ticks=cycles // 2).run()
+        assert calls[0] == expected, ("resumed", values, width)
 
 
 def assert_run_matches_ticks(engine_cls, values, width):
@@ -154,6 +175,21 @@ def assert_run_matches_ticks(engine_cls, values, width):
 def test_run_logs_what_ticks_log(engine_cls):
     for values, width in SMALL_VECTORS + TIE_HEAVY_VECTORS:
         assert_run_matches_ticks(engine_cls, values, width)
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_run_resumes_where_ticks_stopped(engine_cls, monkeypatch):
+    # run() after any number of ticks finishes what they began, a tie group
+    # left mid-drain first
+    fail_empty_search(engine_cls, monkeypatch)
+    vectors = [(v, w) for v, w in SMALL_VECTORS if len(v) <= 3] + TIE_HEAVY_VECTORS[::50]
+    for values, width in vectors:
+        reference = ticked(engine_cls, values, width)
+        for k in range(reference.cycle + 1):
+            engine = ticked(engine_cls, values, width, ticks=k)
+            assert engine.run() == reference.outputs, (values, width, k)
+            assert engine.trace.csv_rows() == reference.trace.csv_rows(), (values, width, k)
+            assert engine.trace.events == reference.trace.events, (values, width, k)
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine],
