@@ -29,8 +29,9 @@ DISTS = ("gaussian", "uniform", "file")
 # a run holds a trials x n matrix of int64 cycles: 78 MiB at both caps
 MAX_N = 1024           # the `network --n` cap
 MAX_TRIALS = 10_000    # ten times the default
-# trials sampled back to back between engine runs: sampling is faster that
-# way, and a run still holds at most one block besides the cycle matrix
+# trials sampled back to back between engine runs, so a run holds at most
+# one block besides the cycle matrix; over 1000 trials larger blocks were
+# not measurably faster than 64 (README, Speed)
 SAMPLE_BLOCK = 64
 
 
