@@ -20,6 +20,10 @@ from typing import NamedTuple
 
 from .bitstream import UnaryStream, check_word
 
+# a network holds N*log2(N)*(log2(N)+1)/4 CAS blocks and is cached per N, so
+# the input count of a sort (and of `network --n`) is capped
+MAX_NETWORK_INPUTS = 1024
+
 
 class Cas(NamedTuple):
     """One CAS block: the AND (the smaller value) goes to lane ``low``, the
@@ -102,6 +106,9 @@ def evaluate(network: CasNetwork, lanes: Sequence[int]) -> list[int]:
 
 
 def _validate_inputs(values: Sequence[int], width: int) -> None:
+    if len(values) > MAX_NETWORK_INPUTS:
+        raise ValueError(f"input count must be at most {MAX_NETWORK_INPUTS}, "
+                         f"got {len(values)}")
     _check_n(len(values))
     for v in values:
         check_word(v, width)

@@ -116,6 +116,8 @@ def load_trials(path: str | Path) -> list[list[int]]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:  # name the file, as write_files does
+        raise OSError(f"cannot read {path}: {exc.strerror}") from exc
     vectors = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -17,7 +17,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import asdict, fields
 
-from .batcher import batcher_sort, build_bitonic_network
+from .batcher import MAX_NETWORK_INPUTS, batcher_sort, build_bitonic_network
 from .bench import (
     ARCHS,
     DISTS,
@@ -42,10 +42,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 
-# output-size limits: `generate` prints two streams of 2**m bits, and `network`
-# dumps N*log2(N)*(log2(N)+1)/4 CAS blocks from a network cached per N
+# output-size limit: `generate` prints two streams of 2**m bits
 MAX_GENERATE_WIDTH = 16
-MAX_NETWORK_INPUTS = 1024
 DECIMAL = re.compile(r"[ \t]*-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?[ \t]*")
 
 
@@ -144,7 +142,8 @@ def cmd_cost(args) -> int:
 
 def cmd_compare(args) -> int:
     values = _read_values(args.input)
-    # first: the network refuses an N that is not a power of two, and is fast
+    # first: the network refuses an N that is too large or not a power of
+    # two, and is fast
     network = batcher_sort(values, args.m)
     ascending = MinSortEngine(values, args.m).run()
     descending = MaxSortEngine(values, args.m).run()

@@ -3,38 +3,38 @@
 Both iterative architectures wrap the same hardware around their unary
 number generator: one detection flip-flop per input, a popcount of the
 newly latched bits, a priority encoder over the tie group, and the output
-memory.  Each clock edge is one :meth:`IterativeEngine.tick`, which runs
-the phase decided by :attr:`IterativeEngine.phase` alone and logs one event:
+memory.  The controller has the paper's two phases, and
+:attr:`IterativeEngine.phase` alone decides which one the next clock runs:
 
 * SEARCH: the generators advance one cycle and every undetected unit whose
   detector fires latches.  Any detection switches to DRAIN.
 * DRAIN: generation stalls and one result is written per cycle until the
   tie group's count runs out; the value is read from state frozen at
   detection.
-* IDLE: every result has been written; the clock still counts and the
-  tick is logged, but nothing else changes.
+
+Each phase has one primitive, and it logs its own cycles: ``_search`` moves
+``cycle`` past its search cycles and logs the last, and ``_drain`` writes
+any number of a tie group's results, one logged cycle each.  A subclass
+checks the input words, then its search length, and supplies the detector:
+``_fire`` runs generation cycles in one local loop, either exactly one or
+every cycle up to and including the first that detects, and ``_value``
+retrieves the detected value.
 
 Search is capped at :data:`SEARCH_BUDGET` generation cycles.  The inputs fix
 the search length, so one that needs more (up to 2**32 at width 32) is
 refused when the engine is built.  Drain cycles, one per input, are not capped.
-
-A subclass supplies only the detector: :meth:`IterativeEngine._fire` runs
-generation cycles in one local loop, either exactly one or every cycle up
-to and including the first that detects, and :meth:`IterativeEngine._value`
-retrieves the detected value.  It also checks the input words and then its
-search length.  :meth:`IterativeEngine._drain` writes any number of a tie
-group's results, one logged DRAIN cycle each.
 
 Only units in play are evaluated: :attr:`IterativeEngine.in_play` lists them
 and is rebuilt only in a search cycle that detects something.  Each is
 evaluated once per search cycle by a ``FsmGenerator.step`` or ``max_bit``
 call looked up when it is made, because ``perfbench/run.py --self-test``
 counts those calls against the unit-cycles it reads off the trace.
-:meth:`IterativeEngine.tick` runs one cycle: ``_fire`` for one search cycle
-or ``_drain(1)``.  :meth:`IterativeEngine.run` shares both: it finishes a
-tie group a ``tick()`` left pending, then alternates ``_fire`` up to the next
-detection with ``_drain`` of the whole group.  It logs only the cycles that
-detect or write; ``trace.events`` fills the gaps.
+:meth:`IterativeEngine.tick` runs one cycle, ``_drain(1)`` or a one-cycle
+``_search``, and raises ``ValueError`` once every input has been written.
+:meth:`IterativeEngine.run` finishes a tie group a ``tick()`` left pending,
+then alternates ``_search`` up to the next detection with ``_drain`` of the
+whole group, so it logs only the cycles that detect or write;
+``trace.events`` fills the gaps.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from collections.abc import Sequence
 
 from .trace import CycleTrace, Phase, TraceEvent
 
-SEARCH, DRAIN, IDLE = Phase.SEARCH, Phase.DRAIN, Phase.IDLE
+SEARCH, DRAIN = Phase.SEARCH, Phase.DRAIN
 
 # the most generation cycles a width-16 input needs (min detects 2**16 - 1,
 # max detects 0, both at cycle 2**16), so every width up to 16 sorts
@@ -102,19 +102,19 @@ class IterativeEngine:
 
     @property
     def phase(self) -> Phase:
-        """IDLE after the last write, DRAIN while writes are pending, else SEARCH."""
-        if self.out_ptr == self.n:
-            return IDLE
+        """DRAIN while writes are pending, else SEARCH."""
         return DRAIN if self.pending else SEARCH
 
-    def _search(self, once: bool) -> tuple[int, ...]:
-        """Unlogged search cycles (see ``_fire``); latches the units that fire."""
+    def _search(self, once: bool) -> None:
+        """Search cycles (see ``_fire``), the last one logged; latches the units that fire."""
+        start = self.elapsed
         newly = self._fire(once)
         if newly:
             fired = set(newly)
             self.in_play = [i for i in self.in_play if i not in fired]
             self.pending = len(newly)
-        return newly
+        self.cycle += self.elapsed - start  # past the quiet cycles, unlogged
+        self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
 
     def _drain(self, writes: int) -> None:
         """Write the next ``writes`` results of the tie group, one logged cycle each."""
@@ -132,23 +132,18 @@ class IterativeEngine:
         self.pending -= writes
 
     def tick(self) -> None:
-        """Advance one clock cycle."""
-        phase = self.phase
-        if phase is DRAIN:
+        """Advance one clock cycle; refused once every input has been written."""
+        if self.done:
+            raise ValueError("every input has been written")
+        if self.pending:
             self._drain(1)
-            return
-        # an IDLE tick (after completion) is a no-op, flagged in the trace
-        newly = self._search(once=True) if phase is SEARCH else ()
-        self.cycle += 1
-        self.trace.append(TraceEvent(self.cycle, phase, self.elapsed, newly, ()))
+        else:
+            self._search(once=True)
 
     def run(self) -> list[int]:
         """Clock until every input has been written; returns the sorted outputs."""
         while not self.done:
             if not self.pending:  # else finish the group a tick() left mid-drain
-                start = self.elapsed
-                newly = self._search(once=False)
-                self.cycle += self.elapsed - start  # past the quiet cycles, unlogged
-                self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
+                self._search(once=False)
             self._drain(self.pending)
         return list(self.outputs)

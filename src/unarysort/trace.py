@@ -1,4 +1,4 @@
-"""Per-cycle event logging shared by the sorting engines."""
+"""Per-cycle records of the two-phase sorting engines: SEARCH and DRAIN."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from enum import Enum
 class Phase(Enum):
     SEARCH = "search"  # generators advance, detector scans for the next extreme
     DRAIN = "drain"    # generation stalls, one pending result written per cycle
-    IDLE = "idle"      # tick arrived after completion; logged, nothing happens
 
 
 @dataclass
@@ -18,7 +17,7 @@ class TraceEvent:
     """One logged cycle's record.  Nothing mutates it; it is not frozen because
     every tick builds one, and a frozen dataclass costs twice as much to build."""
 
-    cycle: int                          # global clock, one per tick (idle ones too)
+    cycle: int                          # global clock, one per tick
     phase: Phase
     elapsed: int                        # generation cycles so far (frozen in DRAIN)
     detected: tuple[int, ...]           # indices of inputs newly detected this cycle
@@ -75,14 +74,10 @@ class CycleTrace:
         return len(self.writes()) == self.n_inputs
 
     def total_cycles(self) -> int:
-        """Cycles consumed by the run: generation plus output-write cycles.
-
-        Idle ticks recorded after completion are not counted.
-        """
+        """Cycles the run took, generation plus output-write: the last record's."""
         if not self.complete:
             raise ValueError("trace is incomplete: not all outputs were written")
-        records = self.records
-        return records[-1].cycle - sum(r.phase is Phase.IDLE for r in records)
+        return self.records[-1].cycle
 
     def csv_rows(self) -> list[str]:
         arch, rows, cycle = self.arch, [CSV_HEADER], 0

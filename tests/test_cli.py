@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -595,6 +596,37 @@ class TestNetwork:
         # checked before the power-of-two rule
         assert run(["network", "--n", str(cli.MAX_NETWORK_INPUTS + 1)]) == 1
         assert capsys.readouterr() == ("", "error: --n must be at most 1024, got 1025\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sort", "--m", "3", "--input"],
+    ["compare", "--m", "3", "--input"],
+    ["bench", "--dist", "file", "--input"],
+], ids=["sort", "compare", "bench"])
+def test_unreadable_input_names_the_file(tmp_path, capsys, argv):
+    for path, code in [(tmp_path / "nope.csv", errno.ENOENT), (tmp_path, errno.EISDIR)]:
+        assert run([*argv, str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot read {path}: {os.strerror(code)}\n")
+
+
+def test_batcher_input_count_is_capped(tmp_path, capsys):
+    # a network's memory grows as N*log2(N)**2; the cap is checked before
+    # the power-of-two rule, and a refusal writes no file
+    path, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    values = [(5 * i) % 8 for i in range(1024)]
+    path.write_text(",".join(map(str, values)) + "\n")
+    assert run(["sort", "--input", str(path), "--arch", "batcher", "--m", "3",
+                "--output", str(out)]) == 0
+    assert out.read_text() == ",".join(map(str, sorted(values))) + "\n"
+    out.unlink()
+    for n in (1025, 2048):
+        path.write_text(",".join(["1"] * n) + "\n")
+        for argv in (["sort", "--arch", "batcher", "--output", str(out)], ["compare"]):
+            assert run([*argv, "--input", str(path), "--m", "3"]) == 1
+            assert capsys.readouterr() == (
+                "", f"error: input count must be at most 1024, got {n}\n")
+    assert not out.exists()
 
 
 # --- the whole contract, over generated argument lists and input files ---

@@ -8,7 +8,10 @@ few distinct values add tie groups of up to hundreds of inputs.
 ``run()`` is also compared with a loop of ``tick()``, the reference model,
 on the same vectors: it may differ only in leaving quiet search cycles
 unlogged, as gaps between the cycles it logs.  A ``run()`` that takes over
-after any number of ticks must end where the tick loop ends.
+after any number of ticks must end where the tick loop ends.  Each tick
+logs one record, in the phase (SEARCH or DRAIN) the engine reported before
+it; the loop stops at ``done``, because a tick after the last write is
+refused.
 """
 
 import itertools
@@ -91,15 +94,15 @@ def test_every_small_vector(engine_cls):
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
 def test_phase_is_the_phase_the_next_tick_logs(engine_cls):
-    # read before every tick, up to two idle ticks past completion
+    # read before every tick; each tick logs one record, in that phase
     for values, width in SMALL_VECTORS:
         engine = engine_cls(values, width)
-        idle = 0
-        while idle < 2:
+        while not engine.done:
             phase = engine.phase
-            idle += engine.done
             engine.tick()
-            assert engine.trace.events[-1].phase is phase, (values, width)
+            records = engine.trace.records
+            assert len(records) == engine.cycle, (values, width)
+            assert records[-1].phase is phase, (values, width)
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])

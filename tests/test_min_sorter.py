@@ -5,7 +5,7 @@ import pytest
 from unarysort.generators import GeneratorState
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine, sort_ascending
-from unarysort.trace import Phase, TraceEvent
+from unarysort.trace import Phase
 
 
 class TestEngineConstruction:
@@ -62,15 +62,22 @@ class TestWorkedExample:
         [pytest.param(MinSortEngine, 10, id="min"),
          pytest.param(MaxSortEngine, 7, id="max")],
     )
-    def test_tick_after_completion_is_flagged_noop(self, engine_cls, cycles):
-        engine = engine_cls([4, 6, 4], 3)
-        engine.run()
-        before, elapsed = list(engine.outputs), engine.elapsed
-        engine.tick()
-        idle = engine.trace.events[-1]
-        assert idle == TraceEvent(cycles + 1, Phase.IDLE, elapsed, (), ())
-        assert engine.outputs == before and engine.elapsed == elapsed
-        assert engine.trace.total_cycles() == cycles  # idle ticks not charged
+    def test_tick_after_completion_is_refused(self, engine_cls, cycles):
+        # whether run() or a tick loop finished it, the engine refuses a
+        # further tick and changes nothing
+        for by_run in (True, False):
+            engine = engine_cls([4, 6, 4], 3)
+            if by_run:
+                engine.run()
+            while not engine.done:
+                engine.tick()
+            state = (list(engine.trace.records), list(engine.outputs),
+                     engine.cycle, engine.elapsed)
+            with pytest.raises(ValueError, match="^every input has been written$"):
+                engine.tick()
+            assert (engine.trace.records, engine.outputs,
+                    engine.cycle, engine.elapsed) == state
+            assert engine.trace.total_cycles() == cycles
 
     def test_zero_detected_first_tick(self):
         engine = MinSortEngine([0, 5], 3)
