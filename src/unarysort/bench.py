@@ -5,6 +5,10 @@ and the generation cycle at which the n-th extreme is detected is read off
 the trace.  Results aggregate to (mean, std) per output rank.  Trial i uses
 seed ``base_seed + i``, so trials are independent and the aggregate is
 reproducible regardless of execution order.
+
+numpy (PCG64 sampling, the cycle matrix and its mean and std) is imported
+inside ``sample_trial`` and ``run_bench`` alone, so importing this module,
+and every CLI command but ``bench``, runs without loading it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .bitstream import check_width
@@ -73,13 +75,15 @@ class BenchConfig:
 
 def sample_trial(cfg: BenchConfig, trial: int) -> list[int]:
     """Input vector for one trial; values quantized and clamped to range."""
+    import numpy as np  # loaded by the bench alone (module docstring)
+
     rng = np.random.default_rng(cfg.seed + trial)
     top = (1 << cfg.m) - 1
     if cfg.dist == "gaussian":
         raw = rng.normal(cfg.mu, cfg.sigma, cfg.n)
-        return [int(v) for v in np.clip(np.rint(raw), 0, top).astype(np.int64)]
+        return np.clip(np.rint(raw), 0, top).astype(np.int64).tolist()
     if cfg.dist == "uniform":
-        return [int(v) for v in rng.integers(0, top + 1, cfg.n)]
+        return rng.integers(0, top + 1, cfg.n).tolist()
     raise ValueError("file trials are loaded, not sampled")
 
 
@@ -172,13 +176,16 @@ class BenchResult:
 
 def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
     """Run all trials; with ``check`` every trial is verified against the oracle."""
+    import numpy as np
+
     if cfg.dist == "file":
         trials = load_trials(cfg.input_path)
         if len(trials[0]) < 2:  # a row is a non-blank line, so it has a value
             raise ValueError(f"{cfg.input_path}: row 1 has 1 value, need at least 2")
         for row, vec in enumerate(trials, start=1):
             if len(vec) != len(trials[0]):
-                raise ValueError(f"{cfg.input_path}: row {row} has {len(vec)} values, "
+                noun = "value" if len(vec) == 1 else "values"
+                raise ValueError(f"{cfg.input_path}: row {row} has {len(vec)} {noun}, "
                                  f"row 1 has {len(trials[0])}")
         try:  # the caps hold for a file's rows and columns too
             cfg = BenchConfig(**{**asdict(cfg), "n": len(trials[0]),

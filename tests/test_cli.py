@@ -52,6 +52,16 @@ def run(argv):
     return cli.main(argv)
 
 
+def fresh_python(args):
+    """Run a new interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, encoding="utf-8", timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
+    )
+
+
 def assert_one_error_line(err):
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
 
@@ -161,13 +171,7 @@ class TestArguments:
 
     @pytest.mark.parametrize("argv", [[], ["generate", "\u0663"]], ids=["empty", "bad-value"])
     def test_module_entry_point_exits_one(self, argv):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "unarysort.cli", *argv], capture_output=True,
-            encoding="utf-8", timeout=120,
-            env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
-        )
+        done = fresh_python(["-m", "unarysort.cli", *argv])
         assert (done.returncode, done.stdout) == (1, "")
         assert_one_error_line(done.stderr)
 
@@ -470,10 +474,11 @@ class TestBench:
 
     def test_unequal_rows_name_file_and_row(self, tmp_path, capsys):
         path = tmp_path / "vectors.csv"
-        path.write_text("1,2,3\n4,5,6\n\n7,0\n")
-        assert run(["bench", "--dist", "file", "--input", str(path), "--m", "3"]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: {path}: row 3 has 2 values, row 1 has 3\n")
+        for text, message in [("1,2,3\n4,5,6\n\n7,0\n", "row 3 has 2 values, row 1 has 3"),
+                              ("1,2,3\n4\n", "row 2 has 1 value, row 1 has 3")]:
+            path.write_text(text)
+            assert run(["bench", "--dist", "file", "--input", str(path), "--m", "3"]) == 1
+            assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     def test_one_value_rows_name_file_and_row(self, tmp_path, capsys):
         path = tmp_path / "vectors.csv"
@@ -627,6 +632,50 @@ def test_batcher_input_count_is_capped(tmp_path, capsys):
             assert capsys.readouterr() == (
                 "", f"error: input count must be at most 1024, got {n}\n")
     assert not out.exists()
+
+
+class TestNumpyIsLoadedByBenchAlone:
+    """numpy is a dependency of ``bench`` alone: every other command, and the
+    import of the package, runs in an interpreter that cannot load it."""
+
+    def test_importing_the_package_leaves_numpy_unloaded(self):
+        done = fresh_python(["-c", (
+            "import sys, unarysort, unarysort.bench, unarysort.cli\n"
+            "print('numpy' in sys.modules)")])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_every_other_command_runs_with_numpy_blocked(self, tmp_path):
+        (tmp_path / "in.csv").write_text("4,6,4,0\n")
+        argvs = [["generate", "4", "--m", "3"], ["cost", "--n", "8", "--m", "8"],
+                 ["compare", "--input", "in.csv", "--m", "3"], ["network", "--n", "4"]]
+        for arch in ("min", "max", "batcher"):
+            trace = [] if arch == "batcher" else ["--trace", f"{arch}.trace.csv"]
+            argvs.append(["sort", "--input", "in.csv", "--m", "3", "--arch", arch,
+                          "--output", f"{arch}.csv", *trace])
+        done = fresh_python(["-c", (
+            "import contextlib, io, json, os, sys\n"
+            "sys.modules['numpy'] = None  # an import of numpy now raises\n"
+            "from unarysort import cli\n"
+            "os.chdir(sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]\n"
+            "print(json.dumps(codes))"), str(tmp_path), json.dumps(argvs)])
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, json.dumps([0] * len(argvs)) + "\n", "")
+        for arch, expected in (("min", "0,4,4,6"), ("max", "6,4,4,0"), ("batcher", "0,4,4,6")):
+            assert (tmp_path / f"{arch}.csv").read_text() == expected + "\n"
+        assert sorted(p.name for p in tmp_path.glob("*.trace.csv")) == [
+            "max.trace.csv", "min.trace.csv"]
+
+    def test_bench_loads_numpy_on_first_use(self):
+        done = fresh_python(["-c", (
+            "import contextlib, io, sys\n"
+            "from unarysort import cli\n"
+            "before = 'numpy' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['bench', '--trials', '3', '--check'])\n"
+            "print(before, code, 'numpy' in sys.modules)")])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False 0 True\n", "")
 
 
 # --- the whole contract, over generated argument lists and input files ---
