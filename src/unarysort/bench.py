@@ -117,7 +117,7 @@ def parse_ints(text: str, source: str) -> list[int]:
 def load_trials(path: str | Path) -> list[list[int]]:
     """One input vector per CSV row (a non-blank line); rows become trials."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not UTF-8 text") from None
     except OSError as exc:  # name the file, as write_files does

@@ -24,8 +24,14 @@ Search is capped at :data:`SEARCH_BUDGET` generation cycles.  The inputs fix
 the search length, so one that needs more (up to 2**32 at width 32) is
 refused when the engine is built.  Drain cycles, one per input, are not capped.
 
+``_drain`` logs a group's first write through ``CycleTrace.append``, which
+checks that its cycle follows the last one logged, and appends the rest,
+one cycle apart, straight onto ``trace.records``; so a group costs its
+writes and one check.
+
 Only units in play are evaluated: :attr:`IterativeEngine.in_play` lists them
-and is rebuilt only in a search cycle that detects something.  Each is
+in ascending order and is rebuilt only in a search cycle that detects
+something, from the slices between the detected units.  Each is
 evaluated once per search cycle by a ``FsmGenerator.step`` or ``max_bit``
 call looked up when it is made, because ``perfbench/run.py --self-test``
 counts those calls against the unit-cycles it reads off the trace.
@@ -110,25 +116,36 @@ class IterativeEngine:
         start = self.elapsed
         newly = self._fire(once)
         if newly:
-            fired = set(newly)
-            self.in_play = [i for i in self.in_play if i not in fired]
+            # newly is a subsequence of in_play: keep the slices around it
+            in_play, kept, k = self.in_play, [], 0
+            for i in newly:
+                j = in_play.index(i, k)
+                kept += in_play[k:j]
+                k = j + 1
+            self.in_play = kept + in_play[k:]
             self.pending = len(newly)
         self.cycle += self.elapsed - start  # past the quiet cycles, unlogged
         self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
 
     def _drain(self, writes: int) -> None:
-        """Write the next ``writes`` results of the tie group, one logged cycle each."""
+        """Write the next ``writes`` (at least one) results of the tie group, one
+        logged cycle each."""
         # tied units hold one value and generation stalls while they drain,
         # so which of them the priority encoder picks changes no output and
         # no trace event; the count alone is modelled (cost.py counts the encoder)
-        value, elapsed, cycle = self._value(), self.elapsed, self.cycle
-        append = self.trace.append
-        for address in range(self.out_ptr, self.out_ptr + writes):
-            self.outputs[address] = value
+        value, elapsed, start, outputs = self._value(), self.elapsed, self.out_ptr, self.outputs
+        cycle, trace = self.cycle + 1, self.trace
+        # the group's first record is checked against the last one logged; the
+        # rest follow it one cycle apart, so they go straight onto the records
+        outputs[start] = value
+        trace.append(TraceEvent(cycle, DRAIN, elapsed, (), ((start, value),)))
+        end = self.out_ptr = start + writes
+        append = trace.records.append
+        for address in range(start + 1, end):
+            outputs[address] = value
             cycle += 1
             append(TraceEvent(cycle, DRAIN, elapsed, (), ((address, value),)))
         self.cycle = cycle
-        self.out_ptr += writes
         self.pending -= writes
 
     def tick(self) -> None:

@@ -41,6 +41,8 @@ class FsmGenerator:
         Register width in bits.
     """
 
+    __slots__ = ("remainder",)
+
     def __init__(self, value: int, width: int):
         check_word(value, width)
         self.remainder = value

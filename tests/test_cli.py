@@ -330,6 +330,25 @@ class TestSort:
             f"error: {path} line 2: not an integer: 'x'\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["sort", "--m", "3"],
+        ["compare", "--m", "3", "--check"],
+        ["bench", "--dist", "file", "--n", "4", "--m", "3", "--check"],
+    ], ids=["sort", "compare", "bench"])
+    def test_leading_bom_is_dropped_and_a_later_one_refused(self, tmp_path, capsys, argv):
+        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+        plain, bom, later = tmp_path / "plain.csv", tmp_path / "bom.csv", tmp_path / "later.csv"
+        plain.write_text("5,1,3,0\n2,2,7,6\n", encoding="utf-8")
+        bom.write_text("\ufeff5,1,3,0\n2,2,7,6\n", encoding="utf-8")
+        later.write_text("5,1,3,0\n\ufeff2,2,7,6\n", encoding="utf-8")
+        assert run(argv + ["--input", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert run(argv + ["--input", str(bom)]) == 0
+        assert capsys.readouterr() == expected
+        assert run(argv + ["--input", str(later)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {later} line 2: not an integer: '\\ufeff2'\n")
+
     @pytest.mark.parametrize("field", ["\u0663", "1_000", "+5", "-1", "0x7"])
     def test_only_ascii_digit_fields_are_integers(self, tmp_path, capsys, field):
         path = tmp_path / "in.csv"

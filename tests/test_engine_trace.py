@@ -159,6 +159,26 @@ def test_each_unit_evaluated_until_its_detection(engine_cls, monkeypatch):
         assert calls[0] == expected, ("resumed", values, width)
 
 
+# interleaved groups; a group at the front, at the back, and one that empties in_play
+IN_PLAY_CASES = [([3, 0, 3, 1, 3, 0], 2), ([0, 0, 5, 6, 7], 3), ([5, 6, 7, 1, 1], 3),
+                 ([2, 2, 2, 2], 2)]
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_in_play_is_the_undetected_units_ascending(engine_cls):
+    # after every tick, and after a run() from the start
+    for values, width in IN_PLAY_CASES + TIE_HEAVY_VECTORS:
+        engine = engine_cls(values, width)
+        while not engine.done:
+            engine.tick()
+            detected = {i for r in engine.trace.records for i in r.detected}
+            assert engine.in_play == [i for i in range(engine.n) if i not in detected], (
+                "tick", values, width, engine.cycle)
+        engine = engine_cls(values, width)
+        engine.run()
+        assert engine.in_play == [], ("run", values, width)
+
+
 def assert_run_matches_ticks(engine_cls, values, width):
     engine = engine_cls(values, width)
     outputs = engine.run()
