@@ -22,8 +22,9 @@ def check_width(width: int) -> None:
 
 def check_word(value: int, width: int) -> None:
     """Raise ValueError unless the width is valid and ``0 <= value < 2**width``."""
-    check_width(width)
-    if not 0 <= value < (1 << width):
+    # the width is tested first, so an oversized width never reaches the shift
+    if not (1 <= width <= MAX_WIDTH and 0 <= value < (1 << width)):
+        check_width(width)
         raise ValueError(f"value {value} not representable in {width} bits")
 
 

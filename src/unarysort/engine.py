@@ -14,20 +14,21 @@ memory.  The controller has the paper's two phases, and
 
 Each phase has one primitive, and it logs its own cycles: ``_search`` moves
 ``cycle`` past its search cycles and logs the last, and ``_drain`` writes
-any number of a tie group's results, one logged cycle each.  A subclass
-checks the input words, then its search length, and supplies the detector:
-``_fire`` runs generation cycles in one local loop, either exactly one or
-every cycle up to and including the first that detects, and ``_value``
-retrieves the detected value.
+any number of a tie group's results, one cycle each, and logs them as one
+record.  A subclass checks the input words, then its search length, and
+supplies the detector: ``_fire`` runs generation cycles in one local loop,
+either exactly one or every cycle up to and including the first that
+detects, and ``_value`` retrieves the detected value.
 
 Search is capped at :data:`SEARCH_BUDGET` generation cycles.  The inputs fix
 the search length, so one that needs more (up to 2**32 at width 32) is
 refused when the engine is built.  Drain cycles, one per input, are not capped.
 
-``_drain`` logs a group's first write through ``CycleTrace.append``, which
-checks that its cycle follows the last one logged, and appends the rest,
-one cycle apart, straight onto ``trace.records``; so a group costs its
-writes and one check.
+``_drain`` logs its writes as one DRAIN record, which holds their
+(address, value) pairs and stands for one cycle per write from its
+``cycle`` on.  One ``CycleTrace.append`` checks that the record starts
+after the last cycle logged, so a group costs its writes, one record and
+one check.  A ``tick()`` drains one write, so its record is a group of one.
 
 Only units in play are evaluated: :attr:`IterativeEngine.in_play` lists them
 in ascending order and is rebuilt only in a search cycle that detects
@@ -39,8 +40,8 @@ counts those calls against the unit-cycles it reads off the trace.
 ``_search``, and raises ``ValueError`` once every input has been written.
 :meth:`IterativeEngine.run` finishes a tie group a ``tick()`` left pending,
 then alternates ``_search`` up to the next detection with ``_drain`` of the
-whole group, so it logs only the cycles that detect or write;
-``trace.events`` fills the gaps.
+whole group, so it logs only the cycles that detect and one record per
+group; ``trace.events`` fills the gaps and splits the groups.
 """
 
 from __future__ import annotations
@@ -128,24 +129,21 @@ class IterativeEngine:
         self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
 
     def _drain(self, writes: int) -> None:
-        """Write the next ``writes`` (at least one) results of the tie group, one
-        logged cycle each."""
+        """Write the next ``writes`` (at least one) results of the tie group,
+        one cycle each, logged as one record."""
         # tied units hold one value and generation stalls while they drain,
         # so which of them the priority encoder picks changes no output and
         # no trace event; the count alone is modelled (cost.py counts the encoder)
-        value, elapsed, start, outputs = self._value(), self.elapsed, self.out_ptr, self.outputs
-        cycle, trace = self.cycle + 1, self.trace
-        # the group's first record is checked against the last one logged; the
-        # rest follow it one cycle apart, so they go straight onto the records
-        outputs[start] = value
-        trace.append(TraceEvent(cycle, DRAIN, elapsed, (), ((start, value),)))
+        value, start, outputs = self._value(), self.out_ptr, self.outputs
         end = self.out_ptr = start + writes
-        append = trace.records.append
-        for address in range(start + 1, end):
+        # one plain loop: on Python 3.11 a slice store plus a comprehension made
+        # a one-write group (most groups of a random input) cost 45% more
+        pairs = []
+        for address in range(start, end):
             outputs[address] = value
-            cycle += 1
-            append(TraceEvent(cycle, DRAIN, elapsed, (), ((address, value),)))
-        self.cycle = cycle
+            pairs.append((address, value))
+        self.trace.append(TraceEvent(self.cycle + 1, DRAIN, self.elapsed, (), tuple(pairs)))
+        self.cycle += writes
         self.pending -= writes
 
     def tick(self) -> None:

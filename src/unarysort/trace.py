@@ -1,4 +1,4 @@
-"""Per-cycle records of the two-phase sorting engines: SEARCH and DRAIN."""
+"""Trace records of the two-phase sorting engines: SEARCH cycles and DRAIN tie groups."""
 
 from __future__ import annotations
 
@@ -14,12 +14,17 @@ class Phase(Enum):
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One logged cycle's record.  Nothing mutates it.  It is slotted because
-    every logged cycle builds one, and slots make it smaller and quicker to
+    """One record: a search cycle, or a tie group's run of drain cycles.
+
+    A record with more than one write stands for that many consecutive
+    drain cycles, from ``cycle`` on, each writing one pair in order; it
+    detects nothing.  Every other record stands for its one cycle.
+    Nothing mutates a record.  It is slotted because every logged search
+    cycle and tie group builds one, and slots make it smaller and quicker to
     read; it is not frozen because a frozen dataclass sets each field through
     ``object.__setattr__`` and costs about four times as much to build."""
 
-    cycle: int                          # global clock, one per tick
+    cycle: int                          # global clock of its first cycle
     phase: Phase
     elapsed: int                        # generation cycles so far (frozen in DRAIN)
     detected: tuple[int, ...]           # indices of inputs newly detected this cycle
@@ -30,6 +35,11 @@ class TraceEvent:
         """Popcount of the newly latched detection flip-flops."""
         return len(self.detected)
 
+    @property
+    def last_cycle(self) -> int:
+        """The last cycle the record stands for: one per write, at least one."""
+        return self.cycle + len(self.writes) - 1 if self.writes else self.cycle
+
 
 CSV_HEADER = "arch,cycle,state,detected_count,detected_indices,writes"
 
@@ -38,10 +48,11 @@ CSV_HEADER = "arch,cycle,state,detected_count,detected_indices,writes"
 class CycleTrace:
     """Ordered record log of one engine run.
 
-    A gap between logged cycles (or before the first) is that many quiet
-    search cycles, each one generation cycle past the cycle before it:
-    between detections only the generation counter changes.  ``tick()``
-    logs every cycle; ``run()`` only those that detect or write.
+    A gap between records (or before the first) is that many quiet search
+    cycles, each one generation cycle past the cycle before it: between
+    detections only the generation counter changes.  ``tick()`` logs every
+    cycle, each write its own record; ``run()`` logs only the search cycles
+    that detect, and each tie group as one record of all its writes.
     """
 
     arch: str
@@ -49,21 +60,26 @@ class CycleTrace:
     records: list[TraceEvent] = field(default_factory=list)
 
     def append(self, record: TraceEvent) -> None:
-        if self.records and record.cycle <= self.records[-1].cycle:
+        if self.records and record.cycle <= self.records[-1].last_cycle:
             raise ValueError("trace cycles must strictly increase")
         self.records.append(record)
 
     @property
     def events(self) -> list[TraceEvent]:
-        """One event per cycle: the records, their gaps filled in place by the first read."""
+        """One event per cycle: the records, their gaps filled and their tie
+        groups split into single writes in place by the first read."""
         records = self.records
-        if records and len(records) < records[-1].cycle:
+        if records and len(records) < records[-1].last_cycle:
             filled, cycle, elapsed = [], 0, 0
             for r in records:
                 filled += [TraceEvent(cycle + k, Phase.SEARCH, elapsed + k, (), ())
                            for k in range(1, r.cycle - cycle)]
-                filled.append(r)
-                cycle, elapsed = r.cycle, r.elapsed
+                if len(r.writes) > 1:
+                    filled += [TraceEvent(c, r.phase, r.elapsed, (), (w,))
+                               for c, w in enumerate(r.writes, r.cycle)]
+                else:
+                    filled.append(r)
+                cycle, elapsed = r.last_cycle, r.elapsed
             records[:] = filled
         return records
 
@@ -79,17 +95,22 @@ class CycleTrace:
         """Cycles the run took, generation plus output-write: the last record's."""
         if not self.complete:
             raise ValueError("trace is incomplete: not all outputs were written")
-        return self.records[-1].cycle
+        return self.records[-1].last_cycle
 
     def csv_rows(self) -> list[str]:
         arch, rows, cycle = self.arch, [CSV_HEADER], 0
         for r in self.records:
             rows += [f"{arch},{c},search,0,," for c in range(cycle + 1, r.cycle)]
-            cycle = r.cycle
-            detected = ";".join(map(str, r.detected)) if r.detected else ""
-            writes = ";".join(f"{a}:{v}" for a, v in r.writes) if r.writes else ""
-            rows.append(f"{arch},{r.cycle},{r.phase.value},{len(r.detected)},"
-                        f"{detected},{writes}")
+            if len(r.writes) > 1:  # a tie group: one row per write
+                phase = r.phase.value
+                rows += [f"{arch},{c},{phase},0,,{a}:{v}"
+                         for c, (a, v) in enumerate(r.writes, r.cycle)]
+            else:
+                detected = ";".join(map(str, r.detected)) if r.detected else ""
+                writes = ";".join(f"{a}:{v}" for a, v in r.writes) if r.writes else ""
+                rows.append(f"{arch},{r.cycle},{r.phase.value},{len(r.detected)},"
+                            f"{detected},{writes}")
+            cycle = r.last_cycle
         return rows
 
     def to_csv(self, fileobj: io.TextIOBase) -> None:

@@ -47,7 +47,9 @@ def test_one_word_rule(make, value, width, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("width", [0, 33])
+# the width is tested before the word: 1 << 10**9 would build a 125 MB
+# integer, and 1 << -1 raises a message of its own
+@pytest.mark.parametrize("width", [0, 33, -1, 10**9])
 @pytest.mark.parametrize("make", [
     lambda width: check_word(0, width),
     lambda width: BenchConfig(m=width),

@@ -7,7 +7,8 @@ few distinct values add tie groups of up to hundreds of inputs.
 
 ``run()`` is also compared with a loop of ``tick()``, the reference model,
 on the same vectors: it may differ only in leaving quiet search cycles
-unlogged, as gaps between the cycles it logs.  A ``run()`` that takes over
+unlogged, as gaps between the cycles it logs, and in logging each tie
+group's writes as one record.  A ``run()`` that takes over
 after any number of ticks must end where the tick loop ends.  Each tick
 logs one record, in the phase (SEARCH or DRAIN) the engine reported before
 it; the loop stops at ``done``, because a tick after the last write is

@@ -11,9 +11,11 @@ the public engine classes built by name in ``bench``, ``cli`` and the
 call, so that the ``batcher.build`` span counts every request for a network
 even though the network is cached.  It also relies on ``CycleTrace.events``
 returning one list, the trace's records with the quiet cycles in their gaps
-filled in place, that every later reading of the trace sees: the wrong-output probe
+filled and each tie group's record split into single-write events, both in
+place, that every later reading of the trace sees: the wrong-output probe
 edits that list after ``run()``, and ``writes()``, ``csv_rows()``,
-``total_cycles()`` and ``bench.detection_cycles`` must count the edit.
+``total_cycles()`` and ``bench.detection_cycles`` must count the edit; and
+the per-layer counts read one drain cycle per event.
 """
 
 import json

@@ -42,12 +42,38 @@ def test_events_fills_the_quiet_cycles_once_in_place():
     engine = MinSortEngine([4, 6, 4], 3)
     engine.run()
     trace = engine.trace
-    assert [r.cycle for r in trace.records] == [5, 6, 7, 9, 10]
-    assert [r.phase for r in trace.records] == [Phase.SEARCH, Phase.DRAIN, Phase.DRAIN,
+    # the tie group of inputs 0 and 2 is one record standing for cycles 6 and 7
+    assert [r.cycle for r in trace.records] == [5, 6, 9, 10]
+    assert [len(r.writes) for r in trace.records] == [0, 2, 0, 1]
+    assert [r.phase for r in trace.records] == [Phase.SEARCH, Phase.DRAIN,
                                                 Phase.SEARCH, Phase.DRAIN]
     events = trace.events
     assert trace.events is events is trace.records
     assert [e.cycle for e in events] == list(range(1, 11))
+    assert all(len(e.writes) <= 1 for e in events)
+    assert [e.writes for e in events[5:7]] == [((0, 4),), ((1, 4),)]
+
+
+def test_a_record_inside_the_previous_tie_group_is_refused():
+    trace = CycleTrace(arch="min", n_inputs=3)
+    trace.append(TraceEvent(5, Phase.SEARCH, 5, (0, 2), ()))
+    trace.append(TraceEvent(6, Phase.DRAIN, 5, (), ((0, 4), (1, 4))))  # cycles 6 and 7
+    with pytest.raises(ValueError):
+        trace.append(TraceEvent(7, Phase.SEARCH, 6, (), ()))
+    trace.append(TraceEvent(8, Phase.SEARCH, 6, (1,), ()))
+    assert [e.cycle for e in trace.events] == list(range(1, 9))
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_run_logs_one_drain_record_per_detection(engine_cls):
+    for values, width in TIE_HEAVY_VECTORS:
+        engine = engine_cls(values, width)
+        engine.run()
+        records = engine.trace.records
+        detections = [len(r.detected) for r in records if r.detected]
+        drains = [len(r.writes) for r in records if r.phase is Phase.DRAIN]
+        assert drains == detections, (values, width)
+        assert all(len(e.writes) <= 1 for e in engine.trace.events), (values, width)
 
 
 def test_a_gap_after_a_drain_continues_the_frozen_elapsed():
