@@ -9,23 +9,34 @@ first, see :func:`written_str`) it reads ``0...01...1``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 MAX_WIDTH = 32
 
 
 def check_width(width: int) -> None:
-    """Raise ValueError unless ``1 <= width <= 32``."""
-    if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    """Raise ValueError unless the width is an integer with ``1 <= width <= 32``."""
+    try:
+        if 1 <= operator.index(width) <= MAX_WIDTH:  # a numpy integer or bool passes
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
 
 
 def check_word(value: int, width: int) -> None:
-    """Raise ValueError unless the width is valid and ``0 <= value < 2**width``."""
-    # the width is tested first, so an oversized width never reaches the shift
-    if not (1 <= width <= MAX_WIDTH and 0 <= value < (1 << width)):
-        check_width(width)
-        raise ValueError(f"value {value} not representable in {width} bits")
+    """Raise ValueError unless the width is valid and the value is an integer
+    with ``0 <= value < 2**width``."""
+    # the width is tested first, so an oversized width never reaches the
+    # shift; a non-integer value or width makes the shift raise TypeError
+    try:
+        if 1 <= width <= MAX_WIDTH and value >> width == 0:
+            return
+    except TypeError:
+        pass
+    check_width(width)
+    raise ValueError(f"value {value} not representable in {width} bits")
 
 
 @dataclass(frozen=True)

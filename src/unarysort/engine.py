@@ -30,12 +30,15 @@ refused when the engine is built.  Drain cycles, one per input, are not capped.
 after the last cycle logged, so a group costs its writes, one record and
 one check.  A ``tick()`` drains one write, so its record is a group of one.
 
-Only units in play are evaluated: :attr:`IterativeEngine.in_play` lists them
-in ascending order and is rebuilt only in a search cycle that detects
-something, from the slices between the detected units.  Each is
-evaluated once per search cycle by a ``FsmGenerator.step`` or ``max_bit``
-call looked up when it is made, because ``perfbench/run.py --self-test``
-counts those calls against the unit-cycles it reads off the trace.
+Only units in play are evaluated, each once per search cycle by a
+``FsmGenerator.step`` or ``max_bit`` call looked up when it is made, because
+``perfbench/run.py --self-test`` counts those calls against the unit-cycles
+it reads off the trace.  :attr:`IterativeEngine.in_play` lists them in
+ascending order and changes only in a search cycle that detects something.
+A tie group of up to :data:`WIDE_GROUP` units is deleted from it in place,
+each unit found by bisection, so a detection costs Python work in proportion
+to its group, not to the units in play; a wider group is filtered out in
+one pass.
 :meth:`IterativeEngine.tick` runs one cycle, ``_drain(1)`` or a one-cycle
 ``_search``, and raises ``ValueError`` once every input has been written.
 :meth:`IterativeEngine.run` finishes a tie group a ``tick()`` left pending,
@@ -46,6 +49,7 @@ group; ``trace.events`` fills the gaps and splits the groups.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 
 from .trace import CycleTrace, Phase, TraceEvent
@@ -55,6 +59,12 @@ SEARCH, DRAIN = Phase.SEARCH, Phase.DRAIN
 # the most generation cycles a width-16 input needs (min detects 2**16 - 1,
 # max detects 0, both at cycle 2**16), so every width up to 16 sorts
 SEARCH_BUDGET = 1 << 16
+
+# a tie group of at most this many units leaves in_play by one ``del`` each,
+# in place: a deletion is one memmove of the tail, so a group of k units
+# moves about k * n / 2 pointers, which is quadratic for one huge group; a
+# wider group is filtered out in one pass instead
+WIDE_GROUP = 64
 
 
 class IterativeEngine:
@@ -117,13 +127,14 @@ class IterativeEngine:
         start = self.elapsed
         newly = self._fire(once)
         if newly:
-            # newly is a subsequence of in_play: keep the slices around it
-            in_play, kept, k = self.in_play, [], 0
-            for i in newly:
-                j = in_play.index(i, k)
-                kept += in_play[k:j]
-                k = j + 1
-            self.in_play = kept + in_play[k:]
+            # newly is an ascending subsequence of in_play
+            if len(newly) <= WIDE_GROUP:
+                in_play = self.in_play
+                for i in newly:
+                    del in_play[bisect_left(in_play, i)]
+            else:
+                gone = set(newly)
+                self.in_play = [i for i in self.in_play if i not in gone]
             self.pending = len(newly)
         self.cycle += self.elapsed - start  # past the quiet cycles, unlogged
         self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))

@@ -1,12 +1,15 @@
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from unarysort.bench import BenchConfig
 from unarysort.cost import Architecture, resources
 from unarysort.generators import FsmGenerator
-from unarysort.max_sorter import MaxSortEngine
-from unarysort.min_sorter import MinSortEngine
+from unarysort.max_sorter import MaxSortEngine, sort_descending
+from unarysort.min_sorter import MinSortEngine, sort_ascending
 from unarysort.bitstream import (
     BinaryValue,
     UnaryStream,
@@ -34,6 +37,11 @@ class TestBinaryValue:
     (0, 33, "width must be in 1..32, got 33"),
     (-1, 3, "value -1 not representable in 3 bits"),
     (8, 3, "value 8 not representable in 3 bits"),
+    # a non-integer word or width is refused, never shifted or counted down
+    (2.5, 3, "value 2.5 not representable in 3 bits"),
+    (Fraction(5, 2), 3, "value 5/2 not representable in 3 bits"),
+    (Decimal("2.5"), 3, "value 2.5 not representable in 3 bits"),
+    (1, 2.5, "width must be in 1..32, got 2.5"),
 ])
 @pytest.mark.parametrize("make", [
     check_word, BinaryValue, FsmGenerator, encode_right_aligned,
@@ -47,9 +55,9 @@ def test_one_word_rule(make, value, width, message):
     assert str(caught.value) == message
 
 
-# the width is tested before the word: 1 << 10**9 would build a 125 MB
-# integer, and 1 << -1 raises a message of its own
-@pytest.mark.parametrize("width", [0, 33, -1, 10**9])
+# the width is tested before the word is shifted: a shift by -1 raises a
+# message of its own, and one by 2.5 a TypeError
+@pytest.mark.parametrize("width", [0, 33, -1, 10**9, 2.5])
 @pytest.mark.parametrize("make", [
     lambda width: check_word(0, width),
     lambda width: BenchConfig(m=width),
@@ -74,6 +82,21 @@ def test_an_engine_checks_each_word_once(engine_cls, monkeypatch):
             monkeypatch.setattr(module, "check_word", counted)
     engine_cls([5, 0, 7, 5], 3)
     assert sorted(checked) == [0, 5, 5, 7]
+
+
+@pytest.mark.parametrize("engine_cls,sort,expected", [
+    (MinSortEngine, sort_ascending, [0, 1, 3]),
+    (MaxSortEngine, sort_descending, [3, 1, 0]),
+], ids=["min", "max"])
+def test_an_engine_takes_integer_words_only(engine_cls, sort, expected):
+    # a min-sorter remainder of 2.5 steps to 0.5, then -0.5, and never reaches
+    # 0, so an engine that took it would never finish
+    with pytest.raises(ValueError, match="value 2.5 not representable in 3 bits"):
+        engine_cls([2.5, 1], 3)
+    with pytest.raises(ValueError, match="value 2.5 not representable in 3 bits"):
+        sort([2.5, 1], 3)
+    outputs, _ = sort([np.int64(3), True, 0], 2)
+    assert outputs == expected
 
 
 class TestEncode:

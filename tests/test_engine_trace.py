@@ -160,9 +160,19 @@ def test_each_unit_evaluated_until_its_detection(engine_cls, monkeypatch):
         assert calls[0] == expected, ("resumed", values, width)
 
 
-# interleaved groups; a group at the front, at the back, and one that empties in_play
+def interleaved_group(size: int) -> tuple[list[int], int]:
+    """``size`` units of value 2 at width 2, each after a unit of 0, 1 or 3 in turn."""
+    return [v for k in range(size) for v in ((0, 1, 3)[k % 3], 2)], 2
+
+
+# interleaved groups; a group at the front, at the back, and one that empties
+# in_play; the widest group deleted unit by unit and the narrowest filtered
+# out in one pass; one unit per group, in shuffled order
 IN_PLAY_CASES = [([3, 0, 3, 1, 3, 0], 2), ([0, 0, 5, 6, 7], 3), ([5, 6, 7, 1, 1], 3),
-                 ([2, 2, 2, 2], 2)]
+                 ([2, 2, 2, 2], 2),
+                 interleaved_group(engine_module.WIDE_GROUP),
+                 interleaved_group(engine_module.WIDE_GROUP + 1),
+                 (random.Random(64).sample(range(64), 64), 6)]
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
