@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .bitstream import check_width
+from .bitstream import check_width, is_int_in
 from .max_sorter import MaxSortEngine
 from .min_sorter import MinSortEngine
 from .trace import CycleTrace
@@ -60,13 +60,13 @@ class BenchConfig:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if (self.dist == "file") != bool(self.input_path):
             raise ValueError("dist 'file' and an input path go together")
-        if not 2 <= self.n <= MAX_N:
+        if not is_int_in(self.n, 2, MAX_N):
             raise ValueError(f"n must be in 2..{MAX_N}, got {self.n}")
         check_width(self.m)
-        if not 1 <= self.trials <= MAX_TRIALS:
+        if not is_int_in(self.trials, 1, MAX_TRIALS):
             raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not is_int_in(self.seed, 0, math.inf):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
             raise ValueError(f"mu and sigma must be finite, got {self.mu} and {self.sigma}")
         if self.sigma < 0:

@@ -15,14 +15,18 @@ from dataclasses import dataclass
 MAX_WIDTH = 32
 
 
+def is_int_in(value, low: int, high: float) -> bool:
+    """True if ``value`` is an integer (a numpy integer or bool passes) in ``low..high``."""
+    try:
+        return low <= operator.index(value) <= high
+    except TypeError:
+        return False
+
+
 def check_width(width: int) -> None:
     """Raise ValueError unless the width is an integer with ``1 <= width <= 32``."""
-    try:
-        if 1 <= operator.index(width) <= MAX_WIDTH:  # a numpy integer or bool passes
-            return
-    except TypeError:
-        pass
-    raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+    if not is_int_in(width, 1, MAX_WIDTH):
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
 
 
 def check_word(value: int, width: int) -> None:

@@ -42,7 +42,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .batcher import cas_count
-from .bitstream import check_width
+from .bitstream import check_width, is_int_in
 
 
 class Architecture(Enum):
@@ -87,15 +87,11 @@ WEIGHTS = MappingProxyType({
 MAX_INPUTS = 2**32
 
 
-def _validate_config(n: int, m: int) -> None:
-    if not 2 <= n <= MAX_INPUTS:
-        raise ValueError(f"input count must be in 2..{MAX_INPUTS}, got {n}")
-    check_width(m)
-
-
 def resources(arch: Architecture, n: int, m: int) -> ResourceCount:
     """Block counts for one architecture at configuration (N, M)."""
-    _validate_config(n, m)
+    if not is_int_in(n, 2, MAX_INPUTS):
+        raise ValueError(f"input count must be in 2..{MAX_INPUTS}, got {n}")
+    check_width(m)
     if arch is Architecture.BATCHER:
         return ResourceCount(
             registers_bits=(

@@ -15,20 +15,15 @@ memory.  The controller has the paper's two phases, and
 Each phase has one primitive, and it logs its own cycles: ``_search`` moves
 ``cycle`` past its search cycles and logs the last, and ``_drain`` writes
 any number of a tie group's results, one cycle each, and logs them as one
-record.  A subclass checks the input words, then its search length, and
-supplies the detector: ``_fire`` runs generation cycles in one local loop,
-either exactly one or every cycle up to and including the first that
-detects, and ``_value`` retrieves the detected value.
+record, so a group costs its writes, one record and one check in
+``CycleTrace.append``.  A subclass checks the input words, then its search
+length, and supplies the detector: ``_fire`` runs generation cycles in one
+local loop, either exactly one or every cycle up to and including the first
+that detects, and ``_value`` retrieves the detected value.
 
 Search is capped at :data:`SEARCH_BUDGET` generation cycles.  The inputs fix
 the search length, so one that needs more (up to 2**32 at width 32) is
 refused when the engine is built.  Drain cycles, one per input, are not capped.
-
-``_drain`` logs its writes as one DRAIN record, which holds their
-(address, value) pairs and stands for one cycle per write from its
-``cycle`` on.  One ``CycleTrace.append`` checks that the record starts
-after the last cycle logged, so a group costs its writes, one record and
-one check.  A ``tick()`` drains one write, so its record is a group of one.
 
 Only units in play are evaluated, each once per search cycle by a
 ``FsmGenerator.step`` or ``max_bit`` call looked up when it is made, because
@@ -53,8 +48,6 @@ from bisect import bisect_left
 from collections.abc import Sequence
 
 from .trace import CycleTrace, Phase, TraceEvent
-
-SEARCH, DRAIN = Phase.SEARCH, Phase.DRAIN
 
 # the most generation cycles a width-16 input needs (min detects 2**16 - 1,
 # max detects 0, both at cycle 2**16), so every width up to 16 sorts
@@ -120,7 +113,7 @@ class IterativeEngine:
     @property
     def phase(self) -> Phase:
         """DRAIN while writes are pending, else SEARCH."""
-        return DRAIN if self.pending else SEARCH
+        return Phase.DRAIN if self.pending else Phase.SEARCH
 
     def _search(self, once: bool) -> None:
         """Search cycles (see ``_fire``), the last one logged; latches the units that fire."""
@@ -137,7 +130,7 @@ class IterativeEngine:
                 self.in_play = [i for i in self.in_play if i not in gone]
             self.pending = len(newly)
         self.cycle += self.elapsed - start  # past the quiet cycles, unlogged
-        self.trace.append(TraceEvent(self.cycle, SEARCH, self.elapsed, newly, ()))
+        self.trace.append(TraceEvent(self.cycle, self.elapsed, newly, ()))
 
     def _drain(self, writes: int) -> None:
         """Write the next ``writes`` (at least one) results of the tie group,
@@ -153,7 +146,7 @@ class IterativeEngine:
         for address in range(start, end):
             outputs[address] = value
             pairs.append((address, value))
-        self.trace.append(TraceEvent(self.cycle + 1, DRAIN, self.elapsed, (), tuple(pairs)))
+        self.trace.append(TraceEvent(self.cycle + 1, self.elapsed, (), tuple(pairs)))
         self.cycle += writes
         self.pending -= writes
 

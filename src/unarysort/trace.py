@@ -12,23 +12,31 @@ class Phase(Enum):
     DRAIN = "drain"    # generation stalls, one pending result written per cycle
 
 
+# a module global is read faster than an Enum member through its class
+_SEARCH, _DRAIN = Phase.SEARCH, Phase.DRAIN
+
+
 @dataclass(slots=True)
 class TraceEvent:
     """One record: a search cycle, or a tie group's run of drain cycles.
 
-    A record with more than one write stands for that many consecutive
-    drain cycles, from ``cycle`` on, each writing one pair in order; it
-    detects nothing.  Every other record stands for its one cycle.
-    Nothing mutates a record.  It is slotted because every logged search
-    cycle and tie group builds one, and slots make it smaller and quicker to
-    read; it is not frozen because a frozen dataclass sets each field through
+    What a record holds decides its phase and the cycles it stands for.  One
+    that writes is DRAIN, detects nothing and stands for one drain cycle per
+    write, from ``cycle`` on; one that writes nothing is one SEARCH cycle.
+    Nothing mutates a record.  It is slotted because every logged search cycle
+    and tie group builds one, and slots make it smaller and quicker to read;
+    it is not frozen because a frozen dataclass sets each field through
     ``object.__setattr__`` and costs about four times as much to build."""
 
     cycle: int                          # global clock of its first cycle
-    phase: Phase
     elapsed: int                        # generation cycles so far (frozen in DRAIN)
     detected: tuple[int, ...]           # indices of inputs newly detected this cycle
     writes: tuple[tuple[int, int], ...]  # (output address, value) pairs
+
+    @property
+    def phase(self) -> Phase:
+        """DRAIN if the record writes, else SEARCH."""
+        return _DRAIN if self.writes else _SEARCH
 
     @property
     def detected_count(self) -> int:
@@ -46,7 +54,8 @@ CSV_HEADER = "arch,cycle,state,detected_count,detected_indices,writes"
 
 @dataclass
 class CycleTrace:
-    """Ordered record log of one engine run.
+    """Ordered record log of one engine run, read by the one rule of
+    :class:`TraceEvent`: what a record holds decides its phase and cycles.
 
     A gap between records (or before the first) is that many quiet search
     cycles, each one generation cycle past the cycle before it: between
@@ -72,10 +81,10 @@ class CycleTrace:
         if records and len(records) < records[-1].last_cycle:
             filled, cycle, elapsed = [], 0, 0
             for r in records:
-                filled += [TraceEvent(cycle + k, Phase.SEARCH, elapsed + k, (), ())
+                filled += [TraceEvent(cycle + k, elapsed + k, (), ())
                            for k in range(1, r.cycle - cycle)]
                 if len(r.writes) > 1:
-                    filled += [TraceEvent(c, r.phase, r.elapsed, (), (w,))
+                    filled += [TraceEvent(c, r.elapsed, (), (w,))
                                for c, w in enumerate(r.writes, r.cycle)]
                 else:
                     filled.append(r)
@@ -101,15 +110,12 @@ class CycleTrace:
         arch, rows, cycle = self.arch, [CSV_HEADER], 0
         for r in self.records:
             rows += [f"{arch},{c},search,0,," for c in range(cycle + 1, r.cycle)]
-            if len(r.writes) > 1:  # a tie group: one row per write
-                phase = r.phase.value
-                rows += [f"{arch},{c},{phase},0,,{a}:{v}"
+            if r.writes:
+                rows += [f"{arch},{c},drain,0,,{a}:{v}"
                          for c, (a, v) in enumerate(r.writes, r.cycle)]
             else:
                 detected = ";".join(map(str, r.detected)) if r.detected else ""
-                writes = ";".join(f"{a}:{v}" for a, v in r.writes) if r.writes else ""
-                rows.append(f"{arch},{r.cycle},{r.phase.value},{len(r.detected)},"
-                            f"{detected},{writes}")
+                rows.append(f"{arch},{r.cycle},search,{len(r.detected)},{detected},")
             cycle = r.last_cycle
         return rows
 

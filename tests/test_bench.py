@@ -50,10 +50,18 @@ class TestConfig:
     def test_bounds(self, field, low, cap):
         for value in (low, cap):
             assert getattr(BenchConfig(**{field: value}), field) == value
-        for value in (low - 1, cap + 1):
+        for value in (low - 1, cap + 1, 2.5):
             with pytest.raises(ValueError) as caught:
                 BenchConfig(**{field: value})
             assert str(caught.value) == f"{field} must be in {low}..{cap}, got {value}"
+
+    def test_seed_is_a_non_negative_integer(self):
+        for seed in (0, 2**70):
+            assert BenchConfig(seed=seed).seed == seed
+        for seed in (-1, 0.5):
+            with pytest.raises(ValueError) as caught:
+                BenchConfig(seed=seed)
+            assert str(caught.value) == f"seed must be an integer >= 0, got {seed}"
 
 
 class TestSampling:

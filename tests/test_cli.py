@@ -48,6 +48,9 @@ DECIMAL_ARGUMENTS = [
 ]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -201,10 +204,12 @@ class TestSort:
         path = tmp_path / "in.csv"
         path.write_text("4,6,4\n")
         trace = tmp_path / "trace.csv"
-        run(["sort", "--input", str(path), "--m", "3", "--trace", str(trace)])
-        lines = trace.read_text().splitlines()
-        assert lines[0] == "arch,cycle,state,detected_count,detected_indices,writes"
-        assert len(lines) == 11
+        for arch in ("min", "max"):
+            assert run(["sort", "--input", str(path), "--arch", arch, "--m", "3",
+                        "--trace", str(trace)]) == 0
+            # the whole file, byte for byte; CI compares the installed command too
+            golden = GOLDEN / f"trace_4_6_4_m3_{arch}.csv"
+            assert trace.read_bytes() == golden.read_bytes(), arch
 
     def test_check_passes(self, tmp_path):
         path = tmp_path / "in.csv"

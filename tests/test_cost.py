@@ -39,6 +39,10 @@ class TestResourceCount:
             resources(Architecture.MIN_SORTER, 8, 0)
         with pytest.raises(ValueError):
             resources(Architecture.BATCHER, 6, 8)
+        for arch in Architecture:  # counts for a fractional N, or a TypeError
+            with pytest.raises(ValueError) as info:
+                resources(arch, 8.5, 4)
+            assert str(info.value) == f"input count must be in 2..{MAX_INPUTS}, got 8.5"
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_input_count_bound(self, arch):

@@ -26,7 +26,7 @@ from unarysort import max_sorter
 from unarysort.generators import FsmGenerator
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
-from unarysort.trace import Phase, TraceEvent
+from unarysort.trace import TraceEvent
 
 
 def detection_cycles(arch: str, values: list[int], width: int) -> list[int]:
@@ -44,12 +44,10 @@ def expected_events(arch: str, values: list[int], width: int) -> list[TraceEvent
     for elapsed in range(1, max(detect_at) + 1):
         group = tuple(i for i, t in enumerate(detect_at) if t == elapsed)
         cycle += 1
-        events.append(TraceEvent(cycle, Phase.SEARCH, elapsed, group, ()))
+        events.append(TraceEvent(cycle, elapsed, group, ()))
         for i in group:
             cycle += 1
-            events.append(
-                TraceEvent(cycle, Phase.DRAIN, elapsed, (), ((address, values[i]),))
-            )
+            events.append(TraceEvent(cycle, elapsed, (), ((address, values[i]),)))
             address += 1
     return events
 

@@ -26,14 +26,14 @@ def reference_csv_rows(trace: CycleTrace) -> list[str]:
 
 def test_cycles_strictly_increase():
     trace = CycleTrace(arch="min", n_inputs=2)
-    trace.append(TraceEvent(1, Phase.SEARCH, 1, (), ()))
+    trace.append(TraceEvent(1, 1, (), ()))
     with pytest.raises(ValueError):
-        trace.append(TraceEvent(1, Phase.SEARCH, 1, (), ()))
-    trace.append(TraceEvent(2, Phase.SEARCH, 2, (), ()))
-    trace.append(TraceEvent(6, Phase.SEARCH, 6, (0,), ()))  # cycles 3, 4 and 5 are quiet
+        trace.append(TraceEvent(1, 1, (), ()))
+    trace.append(TraceEvent(2, 2, (), ()))
+    trace.append(TraceEvent(6, 6, (0,), ()))  # cycles 3, 4 and 5 are quiet
     for cycle in (2, 6):  # at or before the last logged cycle
         with pytest.raises(ValueError):
-            trace.append(TraceEvent(cycle, Phase.DRAIN, 6, (), ((0, 5),)))
+            trace.append(TraceEvent(cycle, 6, (), ((0, 5),)))
     assert [e.cycle for e in trace.events] == [1, 2, 3, 4, 5, 6]
     assert [e.elapsed for e in trace.events] == [1, 2, 3, 4, 5, 6]
 
@@ -56,11 +56,11 @@ def test_events_fills_the_quiet_cycles_once_in_place():
 
 def test_a_record_inside_the_previous_tie_group_is_refused():
     trace = CycleTrace(arch="min", n_inputs=3)
-    trace.append(TraceEvent(5, Phase.SEARCH, 5, (0, 2), ()))
-    trace.append(TraceEvent(6, Phase.DRAIN, 5, (), ((0, 4), (1, 4))))  # cycles 6 and 7
+    trace.append(TraceEvent(5, 5, (0, 2), ()))
+    trace.append(TraceEvent(6, 5, (), ((0, 4), (1, 4))))  # cycles 6 and 7
     with pytest.raises(ValueError):
-        trace.append(TraceEvent(7, Phase.SEARCH, 6, (), ()))
-    trace.append(TraceEvent(8, Phase.SEARCH, 6, (1,), ()))
+        trace.append(TraceEvent(7, 6, (), ()))
+    trace.append(TraceEvent(8, 6, (1,), ()))
     assert [e.cycle for e in trace.events] == list(range(1, 9))
 
 
@@ -80,10 +80,10 @@ def test_a_gap_after_a_drain_continues_the_frozen_elapsed():
     # the min sorter's run on [4, 1] at m=3: the drain holds elapsed 2, and
     # the quiet cycles 4 and 5 after it are generation cycles 3 and 4
     trace = CycleTrace(arch="min", n_inputs=2)
-    trace.append(TraceEvent(2, Phase.SEARCH, 2, (1,), ()))
-    trace.append(TraceEvent(3, Phase.DRAIN, 2, (), ((0, 1),)))
-    trace.append(TraceEvent(6, Phase.SEARCH, 5, (0,), ()))
-    trace.append(TraceEvent(7, Phase.DRAIN, 5, (), ((1, 4),)))
+    trace.append(TraceEvent(2, 2, (1,), ()))
+    trace.append(TraceEvent(3, 2, (), ((0, 1),)))
+    trace.append(TraceEvent(6, 5, (0,), ()))
+    trace.append(TraceEvent(7, 5, (), ((1, 4),)))
     assert trace.total_cycles() == 7
     assert trace.csv_rows()[1:] == [
         "min,1,search,0,,", "min,2,search,1,1,", "min,3,drain,0,,0:1",
@@ -111,19 +111,28 @@ def test_an_edit_to_events_is_seen_by_every_reader(engine_cls):
     assert trace.writes()[0] == (0, 5)
     assert detection_cycles(trace)[0] == 99
     assert trace.csv_rows()[k + 1].endswith(",0:5")
-    # the benchmark's wrong-cycles probe appends a record one cycle late
+    # the benchmark's wrong-cycles probe appends a record one cycle late; it
+    # copies a drain record but writes nothing, so it reads as a search cycle
     last = trace.events[-1]
-    trace.append(dataclasses.replace(last, cycle=last.cycle + 1, writes=()))
+    late = dataclasses.replace(last, cycle=last.cycle + 1, writes=())
+    assert (last.phase, late.phase) == (Phase.DRAIN, Phase.SEARCH)
+    trace.append(late)
     assert trace.total_cycles() == cycles + 1
+    assert trace.csv_rows()[-1] == f"{trace.arch},{late.cycle},search,0,,"
 
 
 def test_detected_count_is_the_popcount_of_detected():
-    event = TraceEvent(5, Phase.SEARCH, 5, (0, 2), ())
-    assert len(dataclasses.fields(event)) == 5
+    event = TraceEvent(5, 5, (0, 2), ())
+    assert len(dataclasses.fields(event)) == 4
     assert event.detected_count == 2
     assert dataclasses.replace(event, detected=(1,)).detected_count == 1
     with pytest.raises(AttributeError):
         event.detected_count = 3
+    # the phase is read off the writes, never stored
+    assert event.phase is Phase.SEARCH
+    assert TraceEvent(6, 5, (), ((0, 4), (1, 4))).phase is Phase.DRAIN
+    with pytest.raises(AttributeError):
+        event.phase = Phase.DRAIN
 
 
 def test_csv_schema():
