@@ -1,9 +1,13 @@
 """Two-phase controller shared by the iterative sorters.
 
 Both iterative architectures wrap the same hardware around their unary
-number generator: one detection flip-flop per input, a popcount of the
-newly latched bits, a priority encoder over the tie group, and the output
-memory.  The controller has the paper's two phases, and
+number generator, and the engine holds its registers and nothing else:
+``in_play`` (the inputs whose detection flip-flop is clear), ``pending``
+(the tie group's popcount, latched at detection: the writes it has left),
+``elapsed`` (the generation counter) and ``out_ptr`` (the output pointer).
+There is no clock register: each cycle advances the counter or writes one
+result, so :attr:`IterativeEngine.cycle` is derived, ``elapsed + out_ptr``.
+The controller has the paper's two phases, and
 :attr:`IterativeEngine.phase` alone decides which one the next clock runs:
 
 * SEARCH: the generators advance one cycle and every undetected unit whose
@@ -12,18 +16,14 @@ memory.  The controller has the paper's two phases, and
   tie group's count runs out; the value is read from state frozen at
   detection.
 
-Each phase has one primitive, and it logs its own cycles: ``_search`` moves
-``cycle`` past its search cycles and logs the last, and ``_drain`` writes
-any number of a tie group's results, one cycle each, and logs them as one
-record, so a group costs its writes, one record and one check in
-``CycleTrace.append``.  A subclass checks the input words, then its search
-length, and supplies the detector: ``_fire`` runs generation cycles in one
-local loop, either exactly one or every cycle up to and including the first
-that detects, and ``_value`` retrieves the detected value.
-
-Search is capped at :data:`SEARCH_BUDGET` generation cycles.  The inputs fix
-the search length, so one that needs more (up to 2**32 at width 32) is
-refused when the engine is built.  Drain cycles, one per input, are not capped.
+``_search`` logs the last of its search cycles, and ``_drain`` a tie group's
+writes, one cycle each, as one record.  A subclass checks the input words,
+then its search length, and supplies the detector: ``_fire`` runs
+generation cycles in one local loop, either exactly one or every cycle up
+to and including the first that detects, and ``_value`` retrieves the
+detected value.  Search is capped at :data:`SEARCH_BUDGET` generation
+cycles: the inputs fix its length, so one that needs more (up to 2**32 at
+width 32) is refused when the engine is built.  Drain cycles are not capped.
 
 Only units in play are evaluated, each once per search cycle by a
 ``FsmGenerator.step`` or ``max_bit`` call looked up when it is made, because
@@ -85,8 +85,7 @@ class IterativeEngine:
         self.in_play = list(range(self.n))  # inputs whose detection flip-flop is clear
         self.pending = 0                    # writes left in the current tie group
         self.elapsed = 0                    # generation cycles; frozen in DRAIN
-        self.cycle = 0                      # global clock
-        self.out_ptr = 0
+        self.out_ptr = 0                    # output pointer: results written
         self.outputs: list[int | None] = [None] * self.n
         self.trace = CycleTrace(arch=self.arch, n_inputs=self.n)
 
@@ -111,13 +110,17 @@ class IterativeEngine:
         return self.out_ptr == self.n
 
     @property
+    def cycle(self) -> int:
+        """The global clock: each cycle advanced ``elapsed`` or wrote one result."""
+        return self.elapsed + self.out_ptr
+
+    @property
     def phase(self) -> Phase:
         """DRAIN while writes are pending, else SEARCH."""
         return Phase.DRAIN if self.pending else Phase.SEARCH
 
     def _search(self, once: bool) -> None:
         """Search cycles (see ``_fire``), the last one logged; latches the units that fire."""
-        start = self.elapsed
         newly = self._fire(once)
         if newly:
             # newly is an ascending subsequence of in_play
@@ -129,8 +132,7 @@ class IterativeEngine:
                 gone = set(newly)
                 self.in_play = [i for i in self.in_play if i not in gone]
             self.pending = len(newly)
-        self.cycle += self.elapsed - start  # past the quiet cycles, unlogged
-        self.trace.append(TraceEvent(self.cycle, self.elapsed, newly, ()))
+        self.trace.append(TraceEvent(self.elapsed + self.out_ptr, self.elapsed, newly, ()))
 
     def _drain(self, writes: int) -> None:
         """Write the next ``writes`` (at least one) results of the tie group,
@@ -146,8 +148,7 @@ class IterativeEngine:
         for address in range(start, end):
             outputs[address] = value
             pairs.append((address, value))
-        self.trace.append(TraceEvent(self.cycle + 1, self.elapsed, (), tuple(pairs)))
-        self.cycle += writes
+        self.trace.append(TraceEvent(self.elapsed + start + 1, self.elapsed, (), tuple(pairs)))
         self.pending -= writes
 
     def tick(self) -> None:

@@ -69,6 +69,8 @@ class CycleTrace:
     records: list[TraceEvent] = field(default_factory=list)
 
     def append(self, record: TraceEvent) -> None:
+        if record.writes and record.detected:  # csv_rows() would drop the detection
+            raise ValueError("a trace record may detect or write, not both")
         if self.records and record.cycle <= self.records[-1].last_cycle:
             raise ValueError("trace cycles must strictly increase")
         self.records.append(record)
@@ -96,13 +98,9 @@ class CycleTrace:
         """All (address, value) pairs in write order."""
         return [w for r in self.records for w in r.writes]
 
-    @property
-    def complete(self) -> bool:
-        return len(self.writes()) == self.n_inputs
-
     def total_cycles(self) -> int:
         """Cycles the run took, generation plus output-write: the last record's."""
-        if not self.complete:
+        if len(self.writes()) != self.n_inputs:
             raise ValueError("trace is incomplete: not all outputs were written")
         return self.records[-1].last_cycle
 

@@ -9,7 +9,9 @@ few distinct values add tie groups of up to hundreds of inputs.
 on the same vectors: it may differ only in leaving quiet search cycles
 unlogged, as gaps between the cycles it logs, and in logging each tie
 group's writes as one record.  A ``run()`` that takes over
-after any number of ticks must end where the tick loop ends.  Each tick
+after any number of ticks must end where the tick loop ends.  Whichever
+way it ran, each record's cycle must follow from the records alone: its
+generation cycle plus the writes logged before it.  Each tick
 logs one record, in the phase (SEARCH or DRAIN) the engine reported before
 it; the loop stops at ``done``, because a tick after the last write is
 refused.
@@ -156,6 +158,35 @@ def test_each_unit_evaluated_until_its_detection(engine_cls, monkeypatch):
         calls[0] = 0
         ticked(engine_cls, values, width, ticks=cycles // 2).run()
         assert calls[0] == expected, ("resumed", values, width)
+
+
+def assert_clock_rule(engine, context):
+    """Each record's cycle follows from the records alone: a SEARCH record's
+    is its generation cycle plus the writes logged before it, and a DRAIN
+    record's is its generation cycle plus its first address, plus one; the
+    engine's clock ends on the trace's last cycle."""
+    written = 0
+    for r in engine.trace.records:
+        if r.writes:
+            assert r.cycle == r.elapsed + r.writes[0][0] + 1, (context, r)
+            written += len(r.writes)
+        else:
+            assert r.cycle == r.elapsed + written, (context, r)
+    assert engine.done and engine.cycle == engine.trace.total_cycles(), context
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
+def test_each_record_is_logged_at_elapsed_plus_writes_before_it(engine_cls):
+    # by run(), by the tick loop, and by a run() resumed half way through the ticks
+    for values, width in SMALL_VECTORS + TIE_HEAVY_VECTORS:
+        engine = engine_cls(values, width)
+        engine.run()
+        assert_clock_rule(engine, ("run", values, width))
+        reference = ticked(engine_cls, values, width)
+        assert_clock_rule(reference, ("ticks", values, width))
+        engine = ticked(engine_cls, values, width, ticks=reference.cycle // 2)
+        engine.run()
+        assert_clock_rule(engine, ("resumed", values, width))
 
 
 def interleaved_group(size: int) -> tuple[list[int], int]:

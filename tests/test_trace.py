@@ -54,6 +54,14 @@ def test_events_fills_the_quiet_cycles_once_in_place():
     assert [e.writes for e in events[5:7]] == [((0, 4),), ((1, 4),)]
 
 
+def test_a_record_that_detects_and_writes_is_refused():
+    # no engine builds one, and csv_rows() would drop its detection
+    trace = CycleTrace(arch="min", n_inputs=1)
+    with pytest.raises(ValueError, match="^a trace record may detect or write, not both$"):
+        trace.append(TraceEvent(2, 2, (0,), ((0, 1),)))
+    assert trace.records == []
+
+
 def test_a_record_inside_the_previous_tie_group_is_refused():
     trace = CycleTrace(arch="min", n_inputs=3)
     trace.append(TraceEvent(5, 5, (0, 2), ()))
@@ -151,7 +159,7 @@ def test_writes_in_order():
     engine = MinSortEngine([2, 0, 1], 2)
     engine.run()
     assert engine.trace.writes() == [(0, 0), (1, 1), (2, 2)]
-    assert engine.trace.complete
+    assert engine.trace.total_cycles() == 6  # max + 1 generation cycles, then 3 writes
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
