@@ -38,6 +38,8 @@ DIGEST_ABOVE = 16 * 1024
 MANIFEST = "SHA256SUMS"
 
 INPUTS = {
+    # the worked example: two equal minima detected together, then the 6
+    "example.csv": "4,6,4",
     # 32 distinct values spread over 0..2047
     "wide32.csv": ",".join(str((i * 797 + 113) % 2048) for i in range(32)),
     # 64 values in 0..3: four tie groups of 16 writes each
@@ -55,7 +57,7 @@ CASES = [
        ["sort", "--arch", arch, "--input", f"{stem}.csv", "--m", m,
         "--output", f"sort_{arch}_{stem}.csv", "--trace", f"sort_{arch}_{stem}.trace.csv",
         "--check"])
-      for stem, m in (("wide32", "11"), ("ties64", "2"), ("distinct1024", "10"))
+      for stem, m in (("example", "3"), ("wide32", "11"), ("ties64", "2"), ("distinct1024", "10"))
       for arch in ("min", "max")],
     ("bench_default", ["bench", "--check", "--output", "bench_default.csv"]),
     *[(f"bench_uniform_{arch}",
@@ -69,7 +71,8 @@ CASES = [
     ("compare_wide32", ["compare", "--input", "wide32.csv", "--m", "11", "--check"]),
     ("cost", ["cost"]),
     *[(f"demo_{demo}", []) for demo in
-      ("01_stream_generation", "03_architecture_comparison", "05_cost_trends")],
+      ("01_stream_generation", "02_min_sort_walkthrough", "03_architecture_comparison",
+       "05_cost_trends")],
 ]
 
 

@@ -1,10 +1,10 @@
-import random
-
 import pytest
 
 from unarysort.max_sorter import MaxSortEngine, max_bit, sort_descending
-from unarysort.min_sorter import sort_ascending
+from unarysort.min_sorter import MinSortEngine
 from unarysort.trace import Phase
+
+from test_engine_trace import check_run, seeded_vectors
 
 
 class TestMaxBit:
@@ -45,9 +45,7 @@ class TestMaxEngine:
         ]
 
     def test_all_zeros_need_full_descent(self):
-        outputs, trace = sort_descending([0, 0], 3)
-        assert outputs == [0, 0]
-        assert trace.total_cycles() == 8 + 2
+        check_run(MaxSortEngine, [0, 0], 3)
 
     def test_construction_errors(self):
         with pytest.raises(ValueError):
@@ -64,36 +62,16 @@ class TestMaxEngine:
 
 class TestCrossArchitecture:
     def test_reverse_of_min_engine(self):
-        rng = random.Random(13)
-        for _ in range(300):
-            values = [rng.randrange(256) for _ in range(8)]
-            ascending, _ = sort_ascending(values, 8)
-            descending, _ = sort_descending(values, 8)
-            assert descending == list(reversed(ascending))
-            assert descending == sorted(values, reverse=True)
+        for values, width in seeded_vectors(13, 300, 8, 8):
+            check_run(MinSortEngine, values, width)
+            check_run(MaxSortEngine, values, width)
 
     def test_detection_time_law(self):
         # value v is detected at generation cycle 2**m - v
-        rng = random.Random(17)
-        for _ in range(200):
-            m = rng.randrange(1, 9)
-            values = [rng.randrange(1 << m) for _ in range(4)]
-            engine = MaxSortEngine(values, m)
-            engine.run()
-            detected_at = {}
-            for event in engine.trace.events:
-                for i in event.detected:
-                    detected_at[i] = event.elapsed
-            assert detected_at == {
-                i: (1 << m) - v for i, v in enumerate(values)
-            }
+        for values, width in seeded_vectors(17, 200, 4, range(1, 9)):
+            check_run(MaxSortEngine, values, width)
 
     def test_closed_form_cycle_count(self):
         # total cycles = (2**m - min value) generation + N writes
-        rng = random.Random(19)
-        for _ in range(300):
-            n = rng.randrange(2, 9)
-            m = rng.randrange(1, 9)
-            values = [rng.randrange(1 << m) for _ in range(n)]
-            _, trace = sort_descending(values, m)
-            assert trace.total_cycles() == ((1 << m) - min(values)) + n
+        for values, width in seeded_vectors(19, 300, range(2, 9), range(1, 9)):
+            check_run(MaxSortEngine, values, width)

@@ -1,11 +1,11 @@
-import random
-
 import pytest
 
 from unarysort.generators import GeneratorState
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine, sort_ascending
 from unarysort.trace import Phase
+
+from test_engine_trace import check_against_ticks, check_run, seeded_vectors
 
 
 class TestEngineConstruction:
@@ -93,43 +93,23 @@ class TestSortProperties:
         assert sort_ascending([0, 1, 2, 3], 3)[0] == [0, 1, 2, 3]
 
     def test_random_vectors_match_reference(self):
-        rng = random.Random(11)
-        for _ in range(500):
-            values = [rng.randrange(256) for _ in range(8)]
-            outputs, _ = sort_ascending(values, 8)
-            assert outputs == sorted(values)
+        for values, width in seeded_vectors(11, 500, 8, 8):
+            check_run(MinSortEngine, values, width)
 
     def test_output_multiset_preserved(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            values = [rng.randrange(16) for _ in range(6)]
-            outputs, _ = sort_ascending(values, 4)
-            assert sorted(outputs) == sorted(values)
+        for values, width in seeded_vectors(5, 100, 6, 4):
+            check_run(MinSortEngine, values, width)
 
     def test_written_values_non_decreasing(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            values = [rng.randrange(32) for _ in range(5)]
-            _, trace = sort_ascending(values, 5)
-            written = [v for _, v in trace.writes()]
-            assert written == sorted(written)
+        for values, width in seeded_vectors(3, 100, 5, 5):
+            check_run(MinSortEngine, values, width)
 
     def test_detection_time_law(self):
         # value v first emits a 0 in generation cycle v + 1
-        rng = random.Random(9)
-        for _ in range(200):
-            m = rng.randrange(1, 9)
-            values = [rng.randrange(1 << m) for _ in range(4)]
-            _, trace = sort_ascending(values, m)
-            detected_at = {}
-            for event in trace.events:
-                for i in event.detected:
-                    detected_at[i] = event.elapsed
-            assert detected_at == {i: v + 1 for i, v in enumerate(values)}
+        for values, width in seeded_vectors(9, 200, 4, range(1, 9)):
+            check_run(MinSortEngine, values, width)
 
     def test_detected_units_are_done(self):
-        from unarysort.generators import GeneratorState
-
         engine = MinSortEngine([5, 2, 2, 7], 3)
         while not engine.done:
             engine.tick()
@@ -137,39 +117,21 @@ class TestSortProperties:
                 assert engine.units[i].state is GeneratorState.DONE
 
     def test_ties_drain_one_per_cycle(self):
-        # k equal minima: one detection event with count k, then k writes
-        engine = MinSortEngine([3, 3, 3, 7], 3)
-        engine.run()
-        events = engine.trace.events
-        detect = next(e for e in events if e.detected_count)
-        assert detect.detected_count == 3 and detect.elapsed == 4
-        drains = [e for e in events if e.phase is Phase.DRAIN]
-        assert [e.writes[0][1] for e in drains[:3]] == [3, 3, 3]
-        assert [e.cycle for e in drains[:3]] == [
-            detect.cycle + 1,
-            detect.cycle + 2,
-            detect.cycle + 3,
-        ]
+        # k equal minima: one detection record, then k writes, one per tick
+        check_against_ticks(MinSortEngine, [3, 3, 3, 7], 3, resume_every=True)
 
 
 class TestCycleCounts:
     def test_closed_form_random(self):
         # total cycles = (max value + 1) generation + N writes
-        rng = random.Random(21)
-        for _ in range(300):
-            n = rng.randrange(2, 9)
-            m = rng.randrange(1, 9)
-            values = [rng.randrange(1 << m) for _ in range(n)]
-            _, trace = sort_ascending(values, m)
-            assert trace.total_cycles() == (max(values) + 1) + n
+        for values, width in seeded_vectors(21, 300, range(2, 9), range(1, 9)):
+            check_run(MinSortEngine, values, width)
 
     def test_all_zeros(self):
-        _, trace = sort_ascending([0, 0, 0, 0], 3)
-        assert trace.total_cycles() == 1 + 4
+        check_run(MinSortEngine, [0, 0, 0, 0], 3)
 
     def test_all_max(self):
-        _, trace = sort_ascending([7] * 3, 3)
-        assert trace.total_cycles() == 8 + 3
+        check_run(MinSortEngine, [7] * 3, 3)
 
     def test_incomplete_trace_rejected(self):
         engine = MinSortEngine([4, 6, 4], 3)
