@@ -9,6 +9,8 @@ The three evaluation modes share one AND/OR kernel, :func:`evaluate`, called
 once on lanes packed into integers: one bit per span of unchanging inputs in
 the bit-serial mode, one bit or byte per cycle in the whole-stream modes.
 AND/OR keep every lane right-aligned, so each mode reads a lane by popcount.
+A CAS block is a plain ``(low, high)`` tuple of lanes: CPython unpacks an
+exact tuple in the kernel's loop on a fast path that a NamedTuple misses.
 """
 
 from __future__ import annotations
@@ -16,29 +18,27 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 from .bitstream import UnaryStream, check_word
 
 # a network holds N*log2(N)*(log2(N)+1)/4 CAS blocks and is cached per N, so
 # the input count of a sort (and of `network --n`) is capped
 MAX_NETWORK_INPUTS = 1024
-
-
-class Cas(NamedTuple):
-    """One CAS block: the AND (the smaller value) goes to lane ``low``, the
-    OR (the larger) to lane ``high``.  A descending block has ``low > high``."""
-
-    low: int
-    high: int
+# a batch lane holds 2**width bits, one per cycle, so its width is capped
+MAX_BATCH_WIDTH = 16
 
 
 @dataclass(frozen=True)
 class CasNetwork:
-    """Stages of CAS blocks; within a stage no lane appears twice."""
+    """Stages of CAS blocks; within a stage no lane appears twice.
+
+    A block is a ``(low, high)`` pair of lanes: the AND (the smaller value)
+    goes to lane ``low`` and the OR (the larger) to lane ``high``, so the
+    block is descending iff ``low > high``.
+    """
 
     n_inputs: int
-    stages: tuple[tuple[Cas, ...], ...]
+    stages: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def cas_blocks(self) -> int:
@@ -49,8 +49,8 @@ class CasNetwork:
         lines = [f"inputs={self.n_inputs} stages={len(self.stages)} cas={self.cas_blocks}"]
         for si, stage in enumerate(self.stages):
             pairs = " ".join(
-                f"({min(c)},{max(c)},{'asc' if c.low < c.high else 'desc'})"
-                for c in stage
+                f"({min(low, high)},{max(low, high)},{'asc' if low < high else 'desc'})"
+                for low, high in stage
             )
             lines.append(f"stage {si}: {pairs}")
         return "\n".join(lines)
@@ -82,7 +82,7 @@ def build_bitonic_network(n: int) -> CasNetwork:
                 partner = i ^ j
                 if partner > i:
                     # ascending where bit k of i is clear, descending where set
-                    stage.append(Cas(i, partner) if i & k == 0 else Cas(partner, i))
+                    stage.append((i, partner) if i & k == 0 else (partner, i))
             stages.append(tuple(stage))
             j //= 2
         k *= 2
@@ -136,6 +136,8 @@ def batcher_sort_batch(values: Sequence[int], width: int) -> list[int]:
     """Whole-stream evaluation: each lane is an integer bitmask with one bit
     per cycle, each CAS a single AND/OR.  Oracle for :func:`batcher_sort`."""
     _validate_inputs(values, width)
+    if width > MAX_BATCH_WIDTH:
+        raise ValueError(f"batch width must be at most {MAX_BATCH_WIDTH}, got {width}")
     network = build_bitonic_network(len(values))
     lanes = [(1 << v) - 1 for v in values]  # bit t set iff t < v, as emitted
     return [lane.bit_count() for lane in evaluate(network, lanes)]

@@ -70,6 +70,7 @@ CASES = [
       for arch in ("min", "max")],
     ("compare_wide32", ["compare", "--input", "wide32.csv", "--m", "11", "--check"]),
     ("cost", ["cost"]),
+    *[(f"network_{n}", ["network", "--n", str(n)]) for n in (2, 16, 64)],
     *[(f"demo_{demo}", []) for demo in
       ("01_stream_generation", "02_min_sort_walkthrough", "03_architecture_comparison",
        "05_cost_trends")],

@@ -6,7 +6,6 @@ import pytest
 
 from unarysort import batcher, bitstream
 from unarysort.batcher import (
-    Cas,
     CasNetwork,
     batcher_sort,
     batcher_sort_batch,
@@ -97,8 +96,8 @@ class TestNetworkStructure:
         assert build_bitonic_network(8) is not build_bitonic_network(16)
 
 
-def one_block(cas: Cas) -> CasNetwork:
-    return CasNetwork(n_inputs=2, stages=((cas,),))
+def one_block(low: int, high: int) -> CasNetwork:
+    return CasNetwork(n_inputs=2, stages=(((low, high),),))
 
 
 class TestCasApply:
@@ -107,12 +106,12 @@ class TestCasApply:
         [(0, 0, (0, 0)), (0, 1, (0, 1)), (1, 0, (0, 1)), (1, 1, (1, 1))],
     )
     def test_ascending_truth_table(self, a, b, expected):
-        assert evaluate(one_block(Cas(0, 1)), [a, b]) == list(expected)
+        assert evaluate(one_block(0, 1), [a, b]) == list(expected)
 
     def test_descending_swaps(self):
         # low > high: the AND lands on lane 1 and the OR on lane 0
-        assert evaluate(one_block(Cas(1, 0)), [1, 0]) == [1, 0]
-        assert evaluate(one_block(Cas(1, 0)), [0, 1]) == [1, 0]
+        assert evaluate(one_block(1, 0), [1, 0]) == [1, 0]
+        assert evaluate(one_block(1, 0), [0, 1]) == [1, 0]
 
     def test_streams_split_to_min_and_max(self):
         a = encode_right_aligned(4, 3)
@@ -198,6 +197,19 @@ class TestBatcherSort:
             values = [rng.randrange(64) for _ in range(8)]
             assert batcher_sort(values, 6) == batcher_sort_batch(values, 6)
 
+    def test_batch_refuses_a_width_past_its_cap(self, monkeypatch):
+        # a lane holds 2**width bits: refused before any lane is built
+        def refuse(n):
+            raise AssertionError("batcher_sort_batch built a network")
+
+        monkeypatch.setattr(batcher, "build_bitonic_network", refuse)
+        with pytest.raises(ValueError) as info:
+            batcher_sort_batch([1, 0], 17)
+        assert str(info.value) == "batch width must be at most 16, got 17"
+
+    def test_batch_sorts_at_its_width_cap(self):
+        assert batcher_sort_batch([65535, 0], 16) == [0, 65535]
+
     def test_agrees_with_min_engine(self):
         rng = random.Random(29)
         for _ in range(100):
@@ -252,8 +264,11 @@ class TestSortStreams:
                 )
 
 
-def test_cas_is_frozen_value_type():
-    cas = Cas(0, 1)
-    assert cas == Cas(0, 1) and cas != Cas(1, 0)
-    with pytest.raises(AttributeError):
-        cas.low = 2
+def test_blocks_are_exact_int_pairs():
+    # evaluate unpacks each block on CPython's exact-tuple path, which a
+    # tuple subclass (a NamedTuple) misses
+    for n in (1 << k for k in range(1, 11)):
+        for stage in build_bitonic_network(n).stages:
+            for pair in stage:
+                assert type(pair) is tuple and len(pair) == 2
+                assert type(pair[0]) is int and type(pair[1]) is int
