@@ -29,11 +29,11 @@ Only units in play are evaluated, each once per search cycle by a
 ``FsmGenerator.step`` or ``max_bit`` call looked up when it is made, because
 ``perfbench/run.py --self-test`` counts those calls against the unit-cycles
 it reads off the trace.  :attr:`IterativeEngine.in_play` lists them in
-ascending order and changes only in a search cycle that detects something.
-A tie group of up to :data:`WIDE_GROUP` units is deleted from it in place,
-each unit found by bisection, so a detection costs Python work in proportion
-to its group, not to the units in play; a wider group is filtered out in
-one pass.
+detection order, which each sorter sets once when it is built: ascending
+value for min, descending for max, ties by ascending index.  The detection
+flip-flops have no order, so this is a host-side choice; it makes the units
+that fire in a search cycle the head of the list, and a detection removes
+that head with one slice deletion, after checking that it is the group.
 :meth:`IterativeEngine.tick` runs one cycle, ``_drain(1)`` or a one-cycle
 ``_search``, and raises ``ValueError`` once every input has been written.
 :meth:`IterativeEngine.run` finishes a tie group a ``tick()`` left pending,
@@ -44,7 +44,6 @@ group; ``trace.events`` fills the gaps and splits the groups.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 
 from .trace import CycleTrace, Phase, TraceEvent
@@ -52,12 +51,6 @@ from .trace import CycleTrace, Phase, TraceEvent
 # the most generation cycles a width-16 input needs (min detects 2**16 - 1,
 # max detects 0, both at cycle 2**16), so every width up to 16 sorts
 SEARCH_BUDGET = 1 << 16
-
-# a tie group of at most this many units leaves in_play by one ``del`` each,
-# in place: a deletion is one memmove of the tail, so a group of k units
-# moves about k * n / 2 pointers, which is quadratic for one huge group; a
-# wider group is filtered out in one pass instead
-WIDE_GROUP = 64
 
 
 class IterativeEngine:
@@ -82,7 +75,10 @@ class IterativeEngine:
             raise ValueError("need at least two inputs to sort")
         self.width = width
         self.n = len(values)
-        self.in_play = list(range(self.n))  # inputs whose detection flip-flop is clear
+        # inputs whose detection flip-flop is clear; each sorter puts them in
+        # detection order, a host-side choice (the flip-flops have no order)
+        # that makes each detection remove the head of the list
+        self.in_play = list(range(self.n))
         self.pending = 0                    # writes left in the current tie group
         self.elapsed = 0                    # generation cycles; frozen in DRAIN
         self.out_ptr = 0                    # output pointer: results written
@@ -98,7 +94,8 @@ class IterativeEngine:
     def _fire(self, once: bool) -> tuple[int, ...]:
         """Run generation cycles, advancing ``elapsed``: one if ``once``, else
         every cycle up to and including the first that detects.  Returns the
-        indices of the units in play that fire in the last of them."""
+        indices of the units in play that fire in the last of them, in
+        ``in_play`` order."""
         raise NotImplementedError
 
     def _value(self) -> int:
@@ -123,15 +120,12 @@ class IterativeEngine:
         """Search cycles (see ``_fire``), the last one logged; latches the units that fire."""
         newly = self._fire(once)
         if newly:
-            # newly is an ascending subsequence of in_play
-            if len(newly) <= WIDE_GROUP:
-                in_play = self.in_play
-                for i in newly:
-                    del in_play[bisect_left(in_play, i)]
-            else:
-                gone = set(newly)
-                self.in_play = [i for i in self.in_play if i not in gone]
-            self.pending = len(newly)
+            # newly is an ordered subsequence of in_play: the head iff it ends there
+            k = len(newly)
+            if self.in_play[k - 1] != newly[-1]:
+                raise RuntimeError(f"units {newly} fired out of detection order")
+            del self.in_play[:k]
+            self.pending = k
         self.trace.append(TraceEvent(self.elapsed + self.out_ptr, self.elapsed, newly, ()))
 
     def _drain(self, writes: int) -> None:

@@ -37,6 +37,7 @@ class MaxSortEngine(IterativeEngine):
             check_word(v, width)
         self._admit((1 << width) - min(values))  # the smallest input is detected last
         self.values = list(values)
+        self.in_play.sort(key=self.values.__getitem__, reverse=True)  # stable: ties ascend
 
     # bound in this class body, so that wrapping MaxSortEngine.run (as the
     # benchmark's per-layer spans do) wraps this sorter and not the min sorter

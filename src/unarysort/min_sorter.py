@@ -33,6 +33,7 @@ class MinSortEngine(IterativeEngine):
         super().__init__(values, width)
         self.units = [FsmGenerator(v, width) for v in values]  # each checks its word
         self._admit(max(values) + 1)  # the largest input is detected last
+        self.in_play.sort(key=values.__getitem__)  # stable: ties ascend
 
     # bound in this class body, so that wrapping MinSortEngine.run (as the
     # benchmark's per-layer spans do) wraps this sorter and not the max sorter

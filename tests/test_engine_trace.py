@@ -120,7 +120,9 @@ def check_against_ticks(engine_cls, values, width: int, resume_every: bool = Fal
     evaluations = sum(detect_at)  # each unit once per search cycle up to its detection
     with counting(engine_cls) as calls:
         reference = engine_cls(values, width)
-        undetected, evaluated, generation = list(range(len(values))), 0, 0
+        # in_play is kept in detection order, ties by index
+        undetected = sorted(range(len(values)), key=detect_at.__getitem__)
+        evaluated, generation = 0, 0
         while not reference.done:
             phase = reference.phase
             reference.tick()
@@ -217,19 +219,41 @@ def interleaved_group(size: int) -> tuple[list[int], int]:
 
 
 # interleaved groups; a group at the front, at the back, and one that empties
-# in_play; the widest group deleted unit by unit and the narrowest filtered
-# out in one pass; one unit per group, in shuffled order
+# in_play; two wide groups, interleaved with other values; one unit per
+# group, in shuffled order
 IN_PLAY_CASES = [([3, 0, 3, 1, 3, 0], 2), ([0, 0, 5, 6, 7], 3), ([5, 6, 7, 1, 1], 3),
-                 ([2, 2, 2, 2], 2),
-                 interleaved_group(engine_module.WIDE_GROUP),
-                 interleaved_group(engine_module.WIDE_GROUP + 1),
+                 ([2, 2, 2, 2], 2), interleaved_group(64), interleaved_group(65),
                  (random.Random(64).sample(range(64), 64), 6)]
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
-def test_in_play_is_the_undetected_units_ascending(engine_cls):
+def test_in_play_is_the_undetected_units_in_detection_order(engine_cls):
     for values, width in IN_PLAY_CASES:
         check_against_ticks(engine_cls, values, width)
+
+
+@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine],
+                         ids=["min", "max"])
+@pytest.mark.parametrize("clock", ["tick", "run"])
+def test_a_unit_firing_out_of_detection_order_is_refused(engine_cls, clock, monkeypatch):
+    # input 1, of value 2, fires alone in the first search cycle, ahead of
+    # input 0 (min) or input 2 (max); it is not the head of in_play, so the
+    # detection is refused before any unit leaves in_play
+    values = [1, 2, 3]
+    if engine_cls is MinSortEngine:
+        step = FsmGenerator.step
+        monkeypatch.setattr(FsmGenerator, "step",
+                            lambda unit: 0 if unit.remainder == 2 else step(unit))
+    else:
+        bit = max_sorter.max_bit
+        monkeypatch.setattr(max_sorter, "max_bit",
+                            lambda value, counter: 1 if value == 2 else bit(value, counter))
+    engine = engine_cls(values, 3)
+    in_play = list(engine.in_play)
+    with pytest.raises(RuntimeError, match=r"^units \(1,\) fired out of detection order$"):
+        getattr(engine, clock)()
+    assert engine.in_play == in_play and engine.pending == 0
+    assert engine.trace.records == []
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine],

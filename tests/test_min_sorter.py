@@ -24,7 +24,9 @@ class TestEngineConstruction:
         assert [u.remainder for u in engine.units] == [4, 6, 4]
         assert engine.elapsed == 0
         assert engine.phase is Phase.SEARCH
-        assert engine.in_play == [0, 1, 2] and engine.pending == 0
+        # in detection order: ascending value, ties by index; descending for max
+        assert engine.in_play == [0, 2, 1] and engine.pending == 0
+        assert MaxSortEngine([4, 6, 4], 3).in_play == [1, 0, 2]
 
     def test_zero_inputs_start_inactive(self):
         engine = MinSortEngine([0, 0], 3)

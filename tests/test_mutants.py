@@ -29,32 +29,55 @@ def example(engine_cls, width: int) -> list[int]:
 
 
 # each edit takes the finished engine, the outputs run() returns, and the
-# index of the first record this run() logged if a tick() left a group pending
+# state run() began from: the records logged before it, the generation count
+# and the writes a tick() left pending
 
 
-def reverse_tie_indices(engine, outputs, resumed_at):
+def reverse_tie_indices(engine, outputs, began):
     records = engine.trace.records
     k = next(k for k, r in enumerate(records) if len(r.detected) > 1)
     records[k] = dataclasses.replace(records[k], detected=records[k].detected[::-1])
 
 
-def drop_a_drain_record(engine, outputs, resumed_at):
+def drop_a_drain_record(engine, outputs, began):
     records = engine.trace.records
     del records[max(k for k, r in enumerate(records) if r.writes)]
 
 
-def log_a_record_one_cycle_late(engine, outputs, resumed_at):
+def log_a_record_one_cycle_late(engine, outputs, began):
     records = engine.trace.records
     records[-1] = dataclasses.replace(records[-1], cycle=records[-1].cycle + 1)
 
 
-def drop_the_pending_group(engine, outputs, resumed_at):
-    if resumed_at is not None:
-        for address, _ in engine.trace.records.pop(resumed_at).writes:
+def drop_the_pending_group(engine, outputs, began):
+    logged, _, pending = began
+    if pending:
+        for address, _ in engine.trace.records.pop(logged).writes:
             outputs[address] = None
 
 
-def off_by_one_above_width_16(engine, outputs, resumed_at):
+def advance_a_gap_by_one_cycle(engine, outputs, began):
+    # the first record g >= 2 cycles after the one before it, so after g - 1
+    # quiet cycles, and every later record, moved g - 1 cycles earlier
+    records, last = engine.trace.records, 0
+    for k, r in enumerate(records):
+        if r.cycle - last >= 2:
+            shift = r.cycle - last - 1
+            records[k:] = [dataclasses.replace(q, cycle=q.cycle - shift) for q in records[k:]]
+            return
+        last = r.last_cycle
+
+
+def resume_ignoring_elapsed(engine, outputs, began):
+    # a search resumed after ticks counts its generation cycles from zero
+    logged, generation, _ = began
+    records = engine.trace.records
+    records[logged:] = [dataclasses.replace(r, cycle=r.cycle - generation,
+                                            elapsed=r.elapsed - generation)
+                        for r in records[logged:]]
+
+
+def off_by_one_above_width_16(engine, outputs, began):
     if engine.width > 16:
         records = engine.trace.records
         for k, r in enumerate(records):
@@ -74,6 +97,8 @@ MUTANTS = [
     pytest.param(log_a_record_one_cycle_late, check_run, 3, id="record-one-cycle-late"),
     pytest.param(drop_the_pending_group, resumed_every_tick, 3, id="resume-drops-pending-group"),
     pytest.param(off_by_one_above_width_16, check_run, 20, id="off-by-one-above-width-16"),
+    pytest.param(advance_a_gap_by_one_cycle, check_run, 3, id="gap-advances-one-cycle"),
+    pytest.param(resume_ignoring_elapsed, resumed_every_tick, 3, id="resume-ignores-elapsed"),
 ]
 ENGINES = pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine],
                                   ids=["min", "max"])
@@ -85,9 +110,9 @@ def test_mutant_fails_the_check(engine_cls, edit, check, width, monkeypatch):
     run = engine_cls.run
 
     def mutant(self):
-        resumed_at = len(self.trace.records) if self.pending else None
+        began = len(self.trace.records), self.elapsed, self.pending
         outputs = run(self)
-        edit(self, outputs, resumed_at)
+        edit(self, outputs, began)
         return outputs
 
     monkeypatch.setattr(engine_cls, "run", mutant)
