@@ -7,7 +7,7 @@ and bitwise OR the larger, lane by lane.  An N-input network uses
 
 The three evaluation modes share one AND/OR kernel, :func:`evaluate`, called
 once on lanes packed into integers: one bit per span of unchanging inputs in
-the bit-serial mode, one bit or byte per cycle in the whole-stream modes.
+the bit-serial mode, one bit per cycle in both whole-stream modes.
 AND/OR keep every lane right-aligned, so each mode reads a lane by popcount.
 A CAS block is a plain ``(low, high)`` tuple of lanes: CPython unpacks an
 exact tuple in the kernel's loop on a fast path that a NamedTuple misses.
@@ -148,17 +148,16 @@ def sort_streams(
 ) -> list[UnaryStream]:
     """Push whole streams through the network; returns the output streams.
 
-    Each stream is packed into one integer whose byte t is the bit of cycle
-    t + 1, so every bit position is sorted on its own, aligned or not.
+    Each stream's lane, one bit per cycle, goes through :func:`evaluate` as
+    it is, so every bit position is sorted on its own, aligned or not.
     """
     if len(streams) != network.n_inputs:
         raise ValueError("stream count does not match network inputs")
-    lengths = {len(s) for s in streams}
+    lengths = {s.length for s in streams}
     if len(lengths) > 1:
         raise ValueError(f"streams must have equal lengths, got {sorted(lengths)}")
     length = lengths.pop()
-    lanes = [int.from_bytes(bytes(s.bits), "little") for s in streams]
     return [
-        UnaryStream(tuple(lane.to_bytes(length, "little")))
-        for lane in evaluate(network, lanes)
+        UnaryStream.packed(lane, length)
+        for lane in evaluate(network, [s.lane for s in streams])
     ]

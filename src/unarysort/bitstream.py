@@ -1,15 +1,18 @@
 """Core value and bitstream types for unary computing.
 
 A data word with bit-width ``m`` is encoded as a stream of ``2**m`` bits
-containing exactly ``value`` ones.  Streams are stored in *emission order*:
-``bits[0]`` is the bit produced in clock cycle 1.  A right-aligned stream
-emits all of its ones first; written as a binary word (most recent bit
+containing exactly ``value`` ones.  A stream is held packed, as one integer
+*lane*: bit ``t`` of the lane is the bit produced in clock cycle ``t + 1``, so
+AND and OR act on every cycle at once.  Its ``bits`` tuple, in *emission
+order* (``bits[0]`` is cycle 1), is derived from the lane.  A right-aligned
+stream emits all of its ones first; written as a binary word (most recent bit
 first, see :func:`written_str`) it reads ``0...01...1``.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 MAX_WIDTH = 32
@@ -54,25 +57,47 @@ class BinaryValue:
         check_word(self.value, self.width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnaryStream:
-    """A bit sequence in emission order (cycle 1 first)."""
+    """A stream of ``length`` bits packed into ``lane``: bit ``t`` is the bit
+    of cycle ``t + 1``.  ``UnaryStream(bits)`` packs bits given in emission
+    order; a producer that already holds a lane calls :meth:`packed`."""
 
-    bits: tuple[int, ...]
+    lane: int
+    length: int
 
-    def __post_init__(self):
-        if not set(self.bits) <= {0, 1}:
+    def __init__(self, bits: Iterable[int]):
+        bits = tuple(bits)
+        if not set(bits) <= {0, 1}:
             raise ValueError("stream bits must be 0 or 1")
+        # the bits in written order (most recent first) as a base-2 numeral;
+        # bool() turns each bit the set test accepts, 1.0 among them, into 0 or 1
+        written = bytes(map(bool, reversed(bits))).translate(bytes.maketrans(b"\0\1", b"01"))
+        vars(self).update(lane=int(written or b"0", 2), length=len(bits))
+
+    @classmethod
+    def packed(cls, lane: int, length: int) -> UnaryStream:
+        """The stream whose bit of cycle ``t + 1`` is ``lane >> t & 1``."""
+        if lane < 0 or lane >> length:
+            raise ValueError(f"lane must be a non-negative integer below 2**{length}")
+        stream = cls.__new__(cls)
+        vars(stream).update(lane=lane, length=length)
+        return stream
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The bits in emission order (cycle 1 first), as 0/1 ints."""
+        return tuple(map(int, emission_str(self)))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def __iter__(self):
         return iter(self.bits)
 
     @property
     def popcount(self) -> int:
-        return sum(self.bits)
+        return self.lane.bit_count()
 
 
 def encode_right_aligned(value: int, width: int) -> UnaryStream:
@@ -81,7 +106,7 @@ def encode_right_aligned(value: int, width: int) -> UnaryStream:
     This is the oracle every generator in the package is tested against.
     """
     check_word(value, width)
-    return UnaryStream((1,) * value + (0,) * ((1 << width) - value))
+    return UnaryStream.packed((1 << value) - 1, 1 << width)
 
 
 def decode(stream: UnaryStream) -> BinaryValue:
@@ -99,7 +124,7 @@ def decode(stream: UnaryStream) -> BinaryValue:
 
 def emission_str(stream: UnaryStream) -> str:
     """The stream as a 0/1 string in emission order (cycle 1 leftmost)."""
-    return "".join(str(b) for b in stream)
+    return written_str(stream)[::-1]
 
 
 def written_str(stream: UnaryStream) -> str:
@@ -107,4 +132,5 @@ def written_str(stream: UnaryStream) -> str:
 
     A right-aligned stream reads ``0...01...1`` in this form.
     """
-    return "".join(str(b) for b in reversed(stream.bits))
+    # the sentinel bit above the stream keeps its leading zeros
+    return bin(stream.lane | 1 << stream.length)[3:]

@@ -71,6 +71,9 @@ CASES = [
     ("compare_wide32", ["compare", "--input", "wide32.csv", "--m", "11", "--check"]),
     ("cost", ["cost"]),
     *[(f"network_{n}", ["network", "--n", str(n)]) for n in (2, 16, 64)],
+    # the shortest stream, the worked example's width, and the widest --m
+    *[(f"generate_{v}_m{m}", ["generate", str(v), "--m", str(m)])
+      for v, m in ((0, 1), (5, 3), (40000, 16))],
     *[(f"demo_{demo}", []) for demo in
       ("01_stream_generation", "02_min_sort_walkthrough", "03_architecture_comparison",
        "05_cost_trends")],

@@ -25,11 +25,11 @@ from unarysort.min_sorter import sort_ascending
 def per_cycle_sort(values, width):
     """The bit-serial reference: one :func:`evaluate` call per clock cycle on
     the 0/1 bits of the right-aligned streams, output popcounts summed."""
-    streams = [encode_right_aligned(v, width) for v in values]
+    streams = [encode_right_aligned(v, width).bits for v in values]
     network = build_bitonic_network(len(values))
     counts = [0] * len(values)
     for t in range(1 << width):
-        for lane, bit in enumerate(evaluate(network, [s.bits[t] for s in streams])):
+        for lane, bit in enumerate(evaluate(network, [bits[t] for bits in streams])):
             counts[lane] += bit
     return counts
 
@@ -262,6 +262,25 @@ class TestSortStreams:
                 assert sort_streams(network, streams) == per_bit_sort_streams(
                     network, streams
                 )
+
+
+def flip_first_bit(stream):
+    """A stream rebuilt with its first bit flipped, as the benchmark's
+    wrong-stream probe builds one: that probe is a real gate only if this
+    constructs and decodes one off."""
+    bits = stream.bits
+    return type(stream)((1 - bits[0],) + bits[1:])
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_a_stream_with_its_first_bit_flipped_decodes_one_off(m):
+    # from encode_right_aligned and from sort_streams, the two producers the
+    # benchmark's network op hands to the probe; 0 and 2**m - 1 at the ends
+    rng = random.Random(m)
+    values = [0, (1 << m) - 1, *(rng.randrange(1 << m) for _ in range(14))]
+    streams = [encode_right_aligned(v, m) for v in values]
+    for stream in [*streams, *sort_streams(build_bitonic_network(16), streams)]:
+        assert abs(decode(flip_first_bit(stream)).value - decode(stream).value) == 1
 
 
 def test_blocks_are_exact_int_pairs():

@@ -1,3 +1,5 @@
+import itertools
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -137,6 +139,61 @@ class TestDecode:
     def test_order_independent(self):
         # decode only counts ones; the counter generator relies on this
         assert decode(UnaryStream((0, 0, 0, 0, 1, 1, 1, 1))).value == 4
+
+
+def every_bit_tuple(max_length):
+    for length in range(max_length + 1):
+        yield from itertools.product((0, 1), repeat=length)
+
+
+class TestPackedLane:
+    def test_bits_round_trip_exhaustive(self):
+        for bits in every_bit_tuple(10):
+            for kind in (int, bool):
+                stream = UnaryStream(tuple(map(kind, bits)))
+                assert stream.bits == bits and type(stream.bits) is tuple
+                assert all(type(b) is int for b in stream.bits)
+                assert len(stream) == stream.length == len(bits)
+                assert stream.popcount == sum(bits)
+
+    def test_bits_round_trip_random(self):
+        # lanes longer than a machine word
+        rng = random.Random(5)
+        for length in range(71):
+            bits = tuple(rng.getrandbits(1) for _ in range(length))
+            for kind in (int, bool):
+                assert UnaryStream(tuple(map(kind, bits))).bits == bits
+
+    def test_lane_bit_t_is_cycle_t_plus_one(self):
+        assert UnaryStream((1, 0, 0, 1, 1)).lane == 0b11001
+        rng = random.Random(6)
+        for length in range(71):
+            lane = rng.getrandbits(length)
+            stream = UnaryStream.packed(lane, length)
+            assert stream.lane == lane and len(stream) == length
+            assert stream.bits == tuple(lane >> t & 1 for t in range(length))
+            assert UnaryStream(stream.bits) == stream
+
+    @pytest.mark.parametrize("length", [0, 1, 8, 70])
+    def test_packed_refuses_a_lane_outside_its_length(self, length):
+        rng = random.Random(length)
+        for lane in (-1, 1 << length, rng.getrandbits(length + 1) | 1 << length):
+            with pytest.raises(ValueError, match="non-negative integer below"):
+                UnaryStream.packed(lane, length)
+
+    def test_set_test_decides_the_accepted_bits(self):
+        # 1.0 == 1 and hashes alike, so the set test accepts it, as it always has
+        assert UnaryStream((1.0, 0)) == UnaryStream((1, 0))
+        assert UnaryStream((np.int64(1), np.True_, False)).bits == (1, 1, 0)
+        with pytest.raises(TypeError):
+            UnaryStream(([1], 0))
+
+    def test_strings_equal_per_bit_joins(self):
+        for bits in every_bit_tuple(8):
+            stream = UnaryStream(bits)
+            assert emission_str(stream) == "".join(str(b) for b in stream.bits)
+            assert written_str(stream) == "".join(str(b) for b in reversed(stream.bits))
+        assert emission_str(UnaryStream(())) == written_str(UnaryStream(())) == ""
 
 
 class TestDisplay:

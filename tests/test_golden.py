@@ -4,10 +4,11 @@
 --check`` with both archs on the worked example 4, 6, 4 at m=3, 32 values at
 m=11, 64 values in 0..3 at m=2 and 1024 distinct values at m=10; ``bench
 --check`` CSVs and sidecars; ``compare``; ``cost``; the ``network --n``
-dumps for N = 2, 16 and 64; and the stdout of demos 01, 02, 03 and 05 (demo
+dumps for N = 2, 16 and 64; the ``generate`` streams for 0 at m=1, 5 at m=3
+and 40000 at m=16; and the stdout of demos 01, 02, 03 and 05 (demo
 04 writes under ``demos/output/``; CI runs it).  The corpus is written here
 from that list, in process, and compared file by file with
-``golden/corpus/``; a trace too big to read in a diff is compared by its
+``golden/corpus/``; a file too big to read in a diff is compared by its
 SHA-256 line in ``SHA256SUMS``.  An intended output change regenerates only
 the files it names (see ``make_corpus.py``).
 """

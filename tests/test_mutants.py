@@ -44,6 +44,13 @@ def drop_a_drain_record(engine, outputs, began):
     del records[max(k for k, r in enumerate(records) if r.writes)]
 
 
+def detect_in_a_drain_record(engine, outputs, began):
+    # set in place, past append(), which refuses a record that detects and writes
+    records = engine.trace.records
+    k = next(k for k, r in enumerate(records) if r.writes)
+    records[k] = dataclasses.replace(records[k], detected=records[k - 1].detected)
+
+
 def log_a_record_one_cycle_late(engine, outputs, began):
     records = engine.trace.records
     records[-1] = dataclasses.replace(records[-1], cycle=records[-1].cycle + 1)
@@ -94,6 +101,7 @@ def resumed_every_tick(engine_cls, values, width):
 MUTANTS = [
     pytest.param(reverse_tie_indices, check_run, 3, id="reversed-tie-indices"),
     pytest.param(drop_a_drain_record, check_run, 3, id="dropped-drain-record"),
+    pytest.param(detect_in_a_drain_record, check_run, 3, id="drain-record-detects"),
     pytest.param(log_a_record_one_cycle_late, check_run, 3, id="record-one-cycle-late"),
     pytest.param(drop_the_pending_group, resumed_every_tick, 3, id="resume-drops-pending-group"),
     pytest.param(off_by_one_above_width_16, check_run, 20, id="off-by-one-above-width-16"),
