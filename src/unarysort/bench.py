@@ -137,11 +137,12 @@ def detection_cycles(trace: CycleTrace) -> list[int]:
     return [record.elapsed for record in trace.records for _ in record.writes]
 
 
-def _run_engine(cfg: BenchConfig, values: list[int]) -> list[int]:
+def _run_engine(cfg: BenchConfig, values: list[int]) -> tuple[list[int], list[int]]:
+    """The engine's outputs and the detection cycle of each output rank."""
     engine_cls = MinSortEngine if cfg.arch == "min" else MaxSortEngine
     engine = engine_cls(values, cfg.m)
-    engine.run()
-    return detection_cycles(engine.trace)
+    outputs = engine.run()
+    return outputs, detection_cycles(engine.trace)
 
 
 def oracle_cycles(cfg: BenchConfig, values: list[int]) -> list[int]:
@@ -175,7 +176,8 @@ class BenchResult:
 
 
 def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
-    """Run all trials; with ``check`` every trial is verified against the oracle."""
+    """Run all trials; with ``check`` each trial's detection cycles are verified
+    against the oracle, and then its outputs against a reference sort."""
     import numpy as np
 
     if cfg.dist == "file":
@@ -198,7 +200,7 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
     cycles = np.empty((cfg.trials, cfg.n), dtype=np.int64)
     for i, values in enumerate(trials):
         try:
-            measured = _run_engine(cfg, values)
+            outputs, measured = _run_engine(cfg, values)
         except ValueError as exc:  # the engine checks the words; name a file's row
             if cfg.dist == "file":
                 raise ValueError(f"{cfg.input_path}: row {i + 1}: {exc}") from None
@@ -209,6 +211,9 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
                 raise OracleMismatch(
                     f"trial {i}: measured {measured} != oracle {expected}"
                 )
+            reference = sorted(values, reverse=cfg.arch == "max")
+            if outputs != reference:
+                raise OracleMismatch(f"trial {i}: sorted {outputs} != {reference}")
         cycles[i] = measured
     return BenchResult(
         config=cfg,

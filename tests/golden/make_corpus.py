@@ -1,4 +1,4 @@
-"""Write the golden corpus: CLI outputs and demo stdout, byte for byte.
+"""Write the golden corpus: CLI outputs, refusals and demo stdout, byte for byte.
 
 Usage::
 
@@ -8,8 +8,10 @@ Each case runs with ``OUTDIR`` as its working directory, so the paths a
 command records (the ``bench --dist file`` sidecar holds its input path)
 are the same wherever the corpus is written.  The input files are written
 first and are part of the corpus.  A case's stdout, if it prints anything,
-goes to ``<case>.stdout``; the files it writes keep the names it gives them.  A
-file larger than ``DIGEST_ABOVE`` bytes is replaced by its SHA-256 line in
+goes to ``<case>.stdout``, its stderr, if any, to ``<case>.stderr``, and a
+non-zero exit status to ``<case>.exit``; the files it writes keep the names
+it gives them, so the corpus's listing shows that a refusal wrote nothing.
+A file larger than ``DIGEST_ABOVE`` bytes is replaced by its SHA-256 line in
 ``SHA256SUMS`` (the ``sha256sum`` format), so the corpus stays small and
 every other file shows a readable diff.
 
@@ -49,6 +51,39 @@ INPUTS = {
     # four trials of eight values, one per row
     "trials.csv": "\n".join(",".join(str((r * 37 + c * 53) % 256) for c in range(8))
                             for r in range(4)),
+    # --- the inputs of the one-invocation successes and refusals below ---
+    "eight.csv": "4,6,4,0,7,1,2,2",
+    "empty.csv": "",
+    # a search of about 2^32 cycles at m=32, for min and for max
+    "over_budget.csv": "4294967295,1",
+    "widest16.csv": "65535,0,3",
+    # a 6-cycle search at m=32: admission follows the search length, not the width
+    "wide_min.csv": "5,3",
+    "wide_max.csv": "4294967295,4294967290",
+    "blanks.csv": " 7 ,\t2\t, 5",
+    "bad_field.csv": "2,3\n1,x",
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+    "plain.csv": "5,1,3,0\n2,2,7,6",
+    "bom.csv": "\ufeff5,1,3,0\n2,2,7,6",
+    "later_bom.csv": "5,1,3,0\n\ufeff2,2,7,6",
+    **{f"field_{name}.csv": f"2,{field}" for name, field in (
+        ("arabic_indic", "\u0663"), ("underscore", "1_000"), ("plus", "+5"), ("minus", "-1"),
+        ("hex", "0x7"))},
+    "bad_row.csv": "1,2,3\n4,,6",
+    "unequal_rows.csv": "1,2,3\n4,5,6\n\n7,0",
+    "short_row.csv": "1,2,3\n4",
+    "one_value_rows.csv": "3\n\n5",
+    "unrepresentable.csv": "1,2\n\n3,100",
+    # the most inputs a network takes, then past the cap
+    "batcher1024.csv": ",".join(str(5 * i % 8) for i in range(1024)),
+    **{f"ones{n}.csv": ",".join(["1"] * n) for n in (1025, 2048)},
+}
+
+# the commands that read an input file, with the flag that names it last
+READERS = {
+    "sort": ["sort", "--m", "3", "--input"],
+    "compare": ["compare", "--m", "3", "--check", "--input"],
+    "bench": ["bench", "--dist", "file", "--m", "3", "--check", "--input"],
 }
 
 # (case name, argv); a name starting with "demo_" runs demos/<rest>.py
@@ -70,37 +105,112 @@ CASES = [
       for arch in ("min", "max")],
     ("compare_wide32", ["compare", "--input", "wide32.csv", "--m", "11", "--check"]),
     ("cost", ["cost"]),
-    *[(f"network_{n}", ["network", "--n", str(n)]) for n in (2, 16, 64)],
-    # the shortest stream, the worked example's width, and the widest --m
+    # N = 1025 is past the 1024 cap, which is checked before the power-of-two rule
+    *[(f"network_{n}", ["network", "--n", str(n)]) for n in (2, 8, 16, 64, 1025)],
+    # the shortest stream, the worked example's width, and the widest --m;
+    # then a value past the width, and one width past the widest
     *[(f"generate_{v}_m{m}", ["generate", str(v), "--m", str(m)])
-      for v, m in ((0, 1), (5, 3), (40000, 16))],
+      for v, m in ((0, 1), (5, 3), (40000, 16), (9, 3), (5, 17))],
     *[(f"demo_{demo}", []) for demo in
       ("01_stream_generation", "02_min_sort_walkthrough", "03_architecture_comparison",
        "05_cost_trends")],
+    # --- one invocation on a fixed input: the small successes, then the
+    # refusals (exit 1, one "error: " line on stderr and no file written) ---
+    ("generate_blanks_5_m3", ["generate", " 5 ", "--m", "\t3"]),  # generate_5_m3's stdout
+    *[(f"sort_{arch}", ["sort", "--input", "example.csv", "--arch", arch, "--m", "3"])
+      for arch in ("min", "max")],
+    ("sort_batcher", ["sort", "--input", "eight.csv", "--arch", "batcher", "--m", "3"]),
+    ("sort_batcher_1024", ["sort", "--input", "batcher1024.csv", "--arch", "batcher", "--m", "3",
+                           "--output", "sort_batcher_1024.csv"]),
+    # the widest words at m=16, and m=32 where the search is short
+    *[(f"sort_{arch}_{stem}", ["sort", "--input", f"{path}.csv", "--arch", arch, "--m", m,
+                               "--check"])
+      for arch in ("min", "max")
+      for stem, path, m in (("widest16", "widest16", "16"), ("wide_m32", f"wide_{arch}", "32"))],
+    ("sort_blanks", ["sort", "--input", "blanks.csv", "--m", "3"]),
+    # a leading BOM is dropped (each *_bom stdout is its *_plain one); a later one is refused
+    *[(f"{command}_{stem}", [*argv, f"{stem}.csv"])
+      for command, argv in READERS.items() for stem in ("plain", "bom", "later_bom")],
+    ("bench_stdout", ["bench", "--n", "4", "--m", "4", "--mu", "8", "--sigma", "2",
+                      "--trials", "20", "--seed", "3"]),
+    ("cost_default_grid", ["cost", "--n", "8,16,32,64,128,256", "--m", "8,16,32"]),  # cost's stdout
+    ("cost_8_8", ["cost", "--n", "8", "--m", "8"]),
+    *[(f"{command}_{name}", [*argv, path]) for command, argv in READERS.items()
+      for name, path in (("missing_input", "nope.csv"), ("directory_input", "."))],
+    ("sort_empty", ["sort", "--input", "empty.csv", "--m", "3"]),
+    ("sort_bad_field", ["sort", "--input", "bad_field.csv", "--m", "3"]),
+    *[(f"sort_field_{name}", ["sort", "--input", f"field_{name}.csv", "--m", "16"])
+      for name in ("arabic_indic", "underscore", "plus", "minus", "hex")],
+    *[(f"sort_{arch}_over_budget", ["sort", "--input", "over_budget.csv", "--arch", arch,
+                                    "--m", "32", "--output", f"sort_{arch}_over_budget.csv",
+                                    "--trace", f"sort_{arch}_over_budget.trace.csv"])
+      for arch in ("min", "max")],
+    ("sort_unwritable_trace", ["sort", "--input", "example.csv", "--m", "3",
+                               "--output", "sort_unwritable_trace.csv",
+                               "--trace", "missing/trace.csv"]),
+    *[(f"sort_same_file{suffix}", ["sort", "--input", "example.csv", "--m", "3",
+                                   "--output", f"{prefix}sort_same_file{suffix}.csv",
+                                   "--trace", f"sort_same_file{suffix}.csv"])
+      for prefix, suffix in (("", ""), ("./", "_dotted"))],
+    ("sort_batcher_trace", ["sort", "--input", "eight.csv", "--arch", "batcher", "--m", "3",
+                            "--output", "sort_batcher_trace.csv",
+                            "--trace", "sort_batcher_trace.trace.csv"]),
+    # an input count that is no power of two, or past the 1024 cap (checked first)
+    ("sort_batcher_3", ["sort", "--input", "example.csv", "--arch", "batcher", "--m", "3"]),
+    ("cost_3_3", ["cost", "--n", "3", "--m", "3"]),  # sort_batcher_3's refusal
+    ("compare_3", ["compare", "--input", "example.csv", "--m", "3"]),
+    *[(f"{command}_{n}", [*argv, "--input", f"ones{n}.csv", "--m", "3"])
+      for command, argv in (("sort_batcher", ["sort", "--arch", "batcher",
+                                              "--output", "sort_batcher_past_cap.csv"]),
+                            ("compare", ["compare"]))
+      for n in (1025, 2048)],
+    ("compare_over_budget", ["compare", "--input", "over_budget.csv", "--m", "32"]),
+    ("bench_over_budget", ["bench", "--n", "2", "--m", "32", "--mu", "4e9", "--sigma", "0",
+                           "--trials", "1"]),
+    ("bench_n1", ["bench", "--n", "1", "--m", "4"]),
+    ("bench_trials_10001", ["bench", "--trials", "10001"]),
+    # a plain message naming the parameter, not an internal numpy error
+    *[(f"bench_{flag}_{name}", ["bench", "--trials", "2", f"--{flag}", value])
+      for flag, name, value in (("mu", "nan", "nan"), ("mu", "inf", "inf"),
+                                ("mu", "arabic_indic", "\u0663"), ("sigma", "negative", "-1"),
+                                ("seed", "negative", "-3"))],
+    ("generate_arabic_indic", ["generate", "\u0663"]),
+    ("generate_not_a_number", ["generate", "not-a-number"]),
+    ("bench_input_without_file_dist", ["bench", "--input", "example.csv", "--trials", "2"]),
+    *[(f"bench_{stem}", ["bench", "--dist", "file", "--input", f"{stem}.csv", "--m", "3"])
+      for stem in ("bad_row", "unequal_rows", "short_row", "one_value_rows")],
+    *[(f"bench_{arch}_unrepresentable", ["bench", "--dist", "file", "--input",
+                                         "unrepresentable.csv", "--m", "4", "--arch", arch])
+      for arch in ("min", "max")],
+    ("cost_empty_entry", ["cost", "--n", ",8"]),
+    ("cost_signed_entry", ["cost", "--n", "8", "--m", "+8"]),
+    ("cost_n_past_float_range", ["cost", "--n", f"8,{2**1100}", "--m", "8",
+                                 "--output", "cost_n_past_float_range.csv"]),
 ]
 
 
-def _in_process(name: str, argv: list[str]) -> str:
+def _in_process(name: str, argv: list[str]) -> tuple[int, str, str]:
     from unarysort import cli  # here, so that --entry-point needs no src/ on the path
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         if name.startswith("demo_"):
             runpy.run_path(str(ROOT / "demos" / f"{name[5:]}.py"), run_name="__main__")
+            status = 0
         else:
             status = cli.main(argv)
-            if status:
-                raise RuntimeError(f"{name}: exit {status}")
-    return out.getvalue()
+    return status, out.getvalue(), err.getvalue()
 
 
-def _entry_point(name: str, argv: list[str]) -> str:
+def _entry_point(name: str, argv: list[str]) -> tuple[int, str, str]:
     if name.startswith("demo_"):
         argv = [sys.executable, str(ROOT / "demos" / f"{name[5:]}.py")]
     else:
         argv = ["unarysort", *argv]
-    # stderr is not captured, so a failing case shows its message
-    return subprocess.run(argv, stdout=subprocess.PIPE, encoding="utf-8", check=True).stdout
+    # the corpus is UTF-8 text whatever the locale (stderr may quote a \u0663)
+    done = subprocess.run(argv, capture_output=True, encoding="utf-8",
+                          env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+    return done.returncode, done.stdout, done.stderr
 
 
 def generate(outdir: Path, entry_point: bool = False) -> None:
@@ -114,9 +224,11 @@ def generate(outdir: Path, entry_point: bool = False) -> None:
     os.chdir(outdir)
     try:
         for name, argv in CASES:
-            stdout = run(name, argv)
-            if stdout:
-                (outdir / f"{name}.stdout").write_text(stdout, encoding="utf-8")
+            status, stdout, stderr = run(name, argv)
+            for suffix, text in (("exit", f"{status}\n" if status else ""),
+                                 ("stdout", stdout), ("stderr", stderr)):
+                if text:
+                    (outdir / f"{name}.{suffix}").write_text(text, encoding="utf-8")
     finally:
         os.chdir(cwd)
     digests = []

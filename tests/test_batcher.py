@@ -123,9 +123,9 @@ class TestCasApply:
     def test_and_or_min_max_exhaustive(self):
         # lane-wise AND/OR keeps streams right-aligned and splits min/max
         for m in range(1, 7):
+            streams = [encode_right_aligned(v, m).bits for v in range(1 << m)]
             for va, vb in itertools.product(range(1 << m), repeat=2):
-                a = encode_right_aligned(va, m)
-                b = encode_right_aligned(vb, m)
+                a, b = streams[va], streams[vb]
                 low = tuple(x & y for x, y in zip(a, b))
                 high = tuple(x | y for x, y in zip(a, b))
                 assert sum(low) == min(va, vb)
@@ -242,10 +242,11 @@ class TestSortStreams:
         network = build_bitonic_network(4)
         for bits in itertools.product((0, 1), repeat=12):
             streams = [UnaryStream(bits[3 * k:3 * k + 3]) for k in range(4)]
-            outputs = sort_streams(network, streams)
+            ins = [s.bits for s in streams]
+            outs = [s.bits for s in sort_streams(network, streams)]
             for t in range(3):
-                column = [s.bits[t] for s in streams]
-                assert [s.bits[t] for s in outputs] == sorted(column)
+                column = [b[t] for b in ins]
+                assert [b[t] for b in outs] == sorted(column)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_equals_per_bit_packing(self, n):

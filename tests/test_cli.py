@@ -1,5 +1,4 @@
 import contextlib
-import errno
 import io
 import json
 import os
@@ -13,11 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import pinned
 
 from unarysort import bench, cli
-from unarysort.bench import BenchConfig
+from unarysort.bench import ARCHS, BenchConfig
 from unarysort.max_sorter import MaxSortEngine
-from unarysort.trace import CSV_HEADER
+from unarysort.min_sorter import MinSortEngine
 
 # fields the CSV grammar refuses: a digit of another script, an underscore,
 # a sign, a hex prefix, a list, a blank, and more digits than int() converts
@@ -49,8 +49,7 @@ DECIMAL_ARGUMENTS = [
 ]
 
 
-def run(argv):
-    return cli.main(argv)
+run = cli.main
 
 
 def fresh_python(args):
@@ -78,33 +77,15 @@ class UnsortingEngine:
         return self.values
 
 
+# ``pinned`` checks golden corpus cases in the corpus test_golden writes once per run; each
+# behaviour that is one invocation on a fixed input is pinned there, exit and stderr too
 class TestGenerate:
-    def test_prints_both_generators(self, capsys):
-        assert run(["generate", "4", "--m", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "fsm      emission=11110000 written=00001111" in out
-        assert "counter  emission=00001111 written=11110000" in out
-
-    def test_zero(self, capsys):
-        assert run(["generate", "0", "--m", "3"]) == 0
-        assert "emission=00000000" in capsys.readouterr().out
-
-    def test_out_of_range_is_validation_error(self, capsys):
-        assert run(["generate", "9", "--m", "3"]) == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_bad_argument_exits_one(self):
-        assert run(["generate", "not-a-number"]) == 1
-
-    def test_widest_allowed(self, capsys):
-        assert run(["generate", "5", "--m", str(cli.MAX_GENERATE_WIDTH)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == "fsm      emission=" + "1" * 5 + "0" * 65531 + " written=" + (
-            "0" * 65531 + "1" * 5)
-
-    def test_too_wide_exits_one_and_prints_nothing(self, capsys):
-        assert run(["generate", "5", "--m", str(cli.MAX_GENERATE_WIDTH + 1)]) == 1
-        assert capsys.readouterr() == ("", "error: --m must be at most 16, got 17\n")
+    test_prints_both_generators = pinned("generate_5_m3")
+    test_zero = pinned("generate_0_m1")
+    test_out_of_range_is_validation_error = pinned("generate_9_m3")
+    test_bad_argument_exits_one = pinned("generate_not_a_number")
+    test_widest_allowed = pinned("generate_40000_m16")
+    test_too_wide_exits_one_and_prints_nothing = pinned("generate_5_m17")
 
 
 class TestArguments:
@@ -131,11 +112,8 @@ class TestArguments:
     def test_decimal_grammar_accepts(self, field):
         assert cli.PARSER.parse_args(["bench", "--mu", field]).mu == float(field)
 
-    def test_blanks_around_an_integer_argument_are_allowed(self, capsys):
-        assert run(["generate", " 4 ", "--m", "\t3"]) == 0
-        out = capsys.readouterr().out
-        assert run(["generate", "4", "--m", "3"]) == 0
-        assert capsys.readouterr().out == out
+    test_blanks_around_an_integer_argument_are_allowed = pinned(
+        "generate_blanks_5_m3 generate_5_m3")
 
     @pytest.mark.parametrize("argv, name", [
         ([], "command"),
@@ -178,40 +156,30 @@ class TestArguments:
 
 
 class TestSort:
-    def test_min_sort(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("4,6,4\n")
-        assert run(["sort", "--input", str(path), "--arch", "min", "--m", "3"]) == 0
-        assert capsys.readouterr().out.strip() == "4,4,6"
-
-    def test_max_sort(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("4,6,4\n")
-        assert run(["sort", "--input", str(path), "--arch", "max", "--m", "3"]) == 0
-        assert capsys.readouterr().out.strip() == "6,4,4"
-
-    def test_batcher_sort(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("4,6,4,0,7,1,2,2\n")
-        assert run(
-            ["sort", "--input", str(path), "--arch", "batcher", "--m", "3"]
-        ) == 0
-        assert capsys.readouterr().out.strip() == "0,1,2,2,4,4,6,7"
-
-    def test_trace_file(self, tmp_path):
-        path = tmp_path / "in.csv"
-        path.write_text("4,6,4\n")
-        trace = tmp_path / "trace.csv"
-        for arch in ("min", "max"):
-            # the golden corpus pins its bytes (sort_<arch>_example.trace.csv)
-            assert run(["sort", "--input", str(path), "--arch", arch, "--m", "3",
-                        "--trace", str(trace)]) == 0
-            assert trace.read_text(encoding="utf-8").startswith(CSV_HEADER + "\n"), arch
-
-    def test_check_passes(self, tmp_path):
-        path = tmp_path / "in.csv"
-        path.write_text("3,1,2\n")
-        assert run(["sort", "--input", str(path), "--m", "2", "--check"]) == 0
+    test_min_sort = pinned("sort_min")
+    test_max_sort = pinned("sort_max")
+    test_batcher_sort = pinned("sort_batcher")
+    test_trace_file = pinned("sort_min_example sort_max_example")
+    test_check_passes = pinned("sort_min_example")
+    test_output_file = pinned("sort_min_example")
+    test_blanks_around_a_field_are_allowed = pinned("sort_blanks")
+    test_widest_in_budget_input_sorts = pinned({a: f"sort_{a}_widest16" for a in ARCHS})
+    test_wide_input_within_budget_sorts = pinned({a: f"sort_{a}_wide_m32" for a in ARCHS})
+    test_leading_bom_is_dropped_and_a_later_one_refused = pinned(
+        {command: f"{command}_plain {command}_bom {command}_later_bom"
+         for command in ("sort", "compare", "bench")})
+    test_empty_file_is_validation_error = pinned("sort_empty")
+    test_missing_file_is_validation_error = pinned("sort_missing_input")
+    test_non_integer_field_names_file_and_field = pinned("sort_bad_field")
+    test_only_ascii_digit_fields_are_integers = pinned({
+        "\u0663": "sort_field_arabic_indic", "1_000": "sort_field_underscore",
+        "+5": "sort_field_plus", "-1": "sort_field_minus", "0x7": "sort_field_hex"})
+    test_over_budget_search_exits_one_and_writes_nothing = pinned(
+        {a: f"sort_{a}_over_budget" for a in ARCHS})
+    test_unwritable_trace_leaves_no_output = pinned("sort_unwritable_trace")
+    test_output_and_trace_naming_one_file_refused = pinned(
+        {"o.csv": "sort_same_file", "./o.csv": "sort_same_file_dotted"})
+    test_batcher_trace_rejected_before_sorting = pinned("sort_batcher_trace")
 
     def test_check_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MinSortEngine", UnsortingEngine)
@@ -219,48 +187,6 @@ class TestSort:
         path.write_text("3,1,2\n")
         assert run(["sort", "--input", str(path), "--m", "2", "--check"]) == 2
         assert capsys.readouterr().err == "check failed: [3, 1, 2] != [1, 2, 3]\n"
-
-    def test_empty_file_is_validation_error(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("\n")
-        assert run(["sort", "--input", str(path), "--m", "3"]) == 1
-
-    @pytest.mark.parametrize("arch", ["min", "max"])
-    def test_over_budget_search_exits_one_and_writes_nothing(
-        self, tmp_path, capsys, arch
-    ):
-        path = tmp_path / "in.csv"
-        path.write_text("4294967295,1\n")
-        assert run(["sort", "--input", str(path), "--arch", arch, "--m", "32",
-                    "--output", str(tmp_path / "o"), "--trace", str(tmp_path / "t")]) == 1
-        assert capsys.readouterr().err == (
-            "error: search needs more than 65536 generation cycles at width 32; "
-            "widths up to 16 fit\n"
-        )
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
-
-    @pytest.mark.parametrize("arch", ["min", "max"])
-    def test_widest_in_budget_input_sorts(self, tmp_path, capsys, arch):
-        path = tmp_path / "in.csv"
-        path.write_text("65535,0,3\n")
-        assert run(["sort", "--input", str(path), "--arch", arch, "--m", "16",
-                    "--check"]) == 0
-        expected = "0,3,65535" if arch == "min" else "65535,3,0"
-        assert capsys.readouterr().out == expected + "\n"
-
-    @pytest.mark.parametrize("arch, text, expected", [
-        ("min", "5,3", "3,5"),
-        ("max", "4294967295,4294967290", "4294967295,4294967290"),
-    ], ids=["min", "max"])
-    def test_wide_input_within_budget_sorts(
-        self, tmp_path, capsys, arch, text, expected
-    ):
-        # admission follows the search length (6 cycles here), not the width
-        path = tmp_path / "in.csv"
-        path.write_text(text + "\n")
-        assert run(["sort", "--input", str(path), "--arch", arch, "--m", "32",
-                    "--check"]) == 0
-        assert capsys.readouterr() == (expected + "\n", "")
 
     def test_non_utf8_input_names_file(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
@@ -278,28 +204,6 @@ class TestSort:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().out == "1,4294967295\n"
 
-    def test_missing_file_is_validation_error(self, tmp_path):
-        assert run(["sort", "--input", str(tmp_path / "nope.csv"), "--m", "3"]) == 1
-
-    def test_output_file(self, tmp_path):
-        path = tmp_path / "in.csv"
-        path.write_text("2,1\n")
-        out = tmp_path / "out.csv"
-        run(["sort", "--input", str(path), "--m", "2", "--output", str(out)])
-        assert out.read_text() == "1,2\n"
-
-    def test_unwritable_trace_leaves_no_output(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("4,6,4\n")
-        out = tmp_path / "out.csv"
-        trace = tmp_path / "missing" / "trace.csv"
-        assert run(["sort", "--input", str(path), "--m", "3",
-                    "--output", str(out), "--trace", str(trace)]) == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: cannot write {trace}: No such file or directory\n"
-
     def test_output_directory_leaves_no_trace(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
         path.write_text("4,6,4\n")
@@ -310,69 +214,6 @@ class TestSort:
         assert capsys.readouterr().err == f"error: cannot write {out}: is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out"]
         assert not any(out.iterdir())
-
-    @pytest.mark.parametrize("output", ["o.csv", "./o.csv"])
-    def test_output_and_trace_naming_one_file_refused(
-        self, tmp_path, monkeypatch, capsys, output
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "in.csv").write_text("4,6,4\n")
-        assert run(["sort", "--input", "in.csv", "--m", "3",
-                    "--output", output, "--trace", "o.csv"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: cannot write {output}: o.csv names the same file\n"
-        )
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
-
-    def test_non_integer_field_names_file_and_field(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("2,3\n1,x\n")
-        assert run(["sort", "--input", str(path), "--m", "3"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path} line 2: not an integer: 'x'\n"
-        )
-
-    @pytest.mark.parametrize("argv", [
-        ["sort", "--m", "3"],
-        ["compare", "--m", "3", "--check"],
-        ["bench", "--dist", "file", "--n", "4", "--m", "3", "--check"],
-    ], ids=["sort", "compare", "bench"])
-    def test_leading_bom_is_dropped_and_a_later_one_refused(self, tmp_path, capsys, argv):
-        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
-        plain, bom, later = tmp_path / "plain.csv", tmp_path / "bom.csv", tmp_path / "later.csv"
-        plain.write_text("5,1,3,0\n2,2,7,6\n", encoding="utf-8")
-        bom.write_text("\ufeff5,1,3,0\n2,2,7,6\n", encoding="utf-8")
-        later.write_text("5,1,3,0\n\ufeff2,2,7,6\n", encoding="utf-8")
-        assert run(argv + ["--input", str(plain)]) == 0
-        expected = capsys.readouterr()
-        assert run(argv + ["--input", str(bom)]) == 0
-        assert capsys.readouterr() == expected
-        assert run(argv + ["--input", str(later)]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: {later} line 2: not an integer: '\\ufeff2'\n")
-
-    @pytest.mark.parametrize("field", ["\u0663", "1_000", "+5", "-1", "0x7"])
-    def test_only_ascii_digit_fields_are_integers(self, tmp_path, capsys, field):
-        path = tmp_path / "in.csv"
-        path.write_text(f"2,{field}\n", encoding="utf-8")
-        assert run(["sort", "--input", str(path), "--m", "16"]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: {path} line 1: not an integer: {field!r}\n")
-
-    def test_blanks_around_a_field_are_allowed(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text(" 7 ,\t2\t, 5\n")
-        assert run(["sort", "--input", str(path), "--m", "3"]) == 0
-        assert capsys.readouterr() == ("2,5,7\n", "")
-
-    def test_batcher_trace_rejected_before_sorting(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("4,6,4,0\n")
-        out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
-        assert run(["sort", "--input", str(path), "--arch", "batcher", "--m", "3",
-                    "--output", str(out), "--trace", str(trace)]) == 1
-        assert "--trace requires" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
     def test_output_and_trace_replace_old_files(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -388,6 +229,22 @@ class TestSort:
 
 
 class TestBench:
+    test_csv_to_stdout = pinned("bench_stdout")
+    # each case writes its CSV and sidecar afresh, to the corpus's bytes
+    test_check_flag = pinned("bench_uniform_min")
+    test_deterministic_output_files = pinned("bench_uniform_min")
+    test_over_budget_search_exits_one = pinned("bench_over_budget")
+    test_validation_error = pinned("bench_n1")
+    test_bad_distribution_parameters_exit_one = pinned(
+        {f"flags{i}": f"bench_{case}"
+         for i, case in enumerate(["mu_nan", "mu_inf", "sigma_negative", "seed_negative"])})
+    test_bad_row_in_input_file = pinned("bench_bad_row")
+    test_input_without_file_dist_is_refused = pinned("bench_input_without_file_dist")
+    test_unequal_rows_name_file_and_row = pinned("bench_unequal_rows bench_short_row")
+    test_one_value_rows_name_file_and_row = pinned("bench_one_value_rows")
+    test_unrepresentable_value_names_file_and_row = pinned(
+        {a: f"bench_{a}_unrepresentable" for a in ARCHS})
+
     def test_defaults_are_bench_configs(self):
         args = cli.build_parser().parse_args(["bench"])
         defaults = asdict(BenchConfig())
@@ -405,29 +262,14 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.startswith("check failed: trial 0: measured [")
 
-    def test_over_budget_search_exits_one(self, capsys):
-        assert run(["bench", "--n", "2", "--m", "32", "--mu", "4e9", "--sigma", "0",
-                    "--trials", "1"]) == 1
-        assert capsys.readouterr().err.startswith("error: search needs more than 65536")
-
-    def test_csv_to_stdout(self, capsys):
-        assert run(
-            ["bench", "--n", "4", "--m", "4", "--mu", "8", "--sigma", "2",
-             "--trials", "20", "--seed", "3"]
-        ) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "rank,mean_cycles,std_cycles"
-        assert len(lines) == 5
-
-    def test_deterministic_output_files(self, tmp_path):
-        args = ["bench", "--n", "4", "--m", "5", "--trials", "50", "--seed", "11",
-                "--mu", "16", "--sigma", "4"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(args + ["--output", str(a)])
-        run(args + ["--output", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-        meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
-        assert meta["trials"] == 50
+    @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine], ids=["min", "max"])
+    def test_check_compares_the_sorted_outputs(self, monkeypatch, capsys, engine_cls):
+        # each output one too large: the detection cycles stay right
+        value = engine_cls._value
+        monkeypatch.setattr(engine_cls, "_value", lambda engine: value(engine) + 1)
+        assert run(["bench", "--arch", engine_cls.arch, "--trials", "20", "--check"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("check failed: trial 0: sorted ["), err
 
     def test_unwritable_sidecar_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
@@ -437,15 +279,6 @@ class TestBench:
         assert capsys.readouterr().err.startswith("error: cannot write ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv.meta.json"]
         assert not any((tmp_path / "b.csv.meta.json").iterdir())
-
-    def test_check_flag(self):
-        assert run(
-            ["bench", "--n", "4", "--m", "4", "--trials", "10", "--seed", "1",
-             "--mu", "8", "--sigma", "3", "--check"]
-        ) == 0
-
-    def test_validation_error(self, capsys):
-        assert run(["bench", "--n", "1", "--m", "4"]) == 1
 
     @pytest.mark.parametrize("flag, cap", [("--n", bench.MAX_N),
                                            ("--trials", bench.MAX_TRIALS)])
@@ -461,117 +294,27 @@ class TestBench:
         assert capsys.readouterr() == (
             "", f"error: {flag[2:]} must be in {low}..{cap}, got {cap + 1}\n")
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--mu", "nan"], ["--mu", "inf"], ["--sigma", "-1"], ["--seed", "-3"]],
-    )
-    def test_bad_distribution_parameters_exit_one(self, flags, capsys):
-        assert run(["bench", "--trials", "2"] + flags) == 1
-        err = capsys.readouterr().err
-        # a plain message naming the parameter, not an internal numpy error
-        assert err.startswith("error: ") and flags[0][2:] in err
-
-    def test_bad_row_in_input_file(self, tmp_path, capsys):
-        path = tmp_path / "vectors.csv"
-        path.write_text("1,2,3\n4,,6\n")
-        assert run(["bench", "--dist", "file", "--input", str(path),
-                    "--m", "3"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path} line 2: not an integer: ''\n"
-        )
-
-    def test_input_without_file_dist_is_refused(self, tmp_path, capsys):
-        path = tmp_path / "vectors.csv"
-        path.write_text("1,2\n")
-        assert run(["bench", "--input", str(path), "--trials", "2"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: dist 'file' and an input path go together\n")
-
     def test_non_utf8_input_names_file(self, tmp_path, capsys):
         path = tmp_path / "vectors.csv"
         path.write_bytes(b"1,2\n\xff,3\n")
         assert run(["bench", "--dist", "file", "--input", str(path), "--m", "3"]) == 1
         assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 text\n")
 
-    def test_unequal_rows_name_file_and_row(self, tmp_path, capsys):
-        path = tmp_path / "vectors.csv"
-        for text, message in [("1,2,3\n4,5,6\n\n7,0\n", "row 3 has 2 values, row 1 has 3"),
-                              ("1,2,3\n4\n", "row 2 has 1 value, row 1 has 3")]:
-            path.write_text(text)
-            assert run(["bench", "--dist", "file", "--input", str(path), "--m", "3"]) == 1
-            assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
-
-    def test_one_value_rows_name_file_and_row(self, tmp_path, capsys):
-        path = tmp_path / "vectors.csv"
-        path.write_text("3\n\n5\n")
-        assert run(["bench", "--dist", "file", "--input", str(path), "--m", "3"]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: {path}: row 1 has 1 value, need at least 2\n")
-
-    @pytest.mark.parametrize("arch", ["min", "max"])
-    def test_unrepresentable_value_names_file_and_row(self, tmp_path, capsys, arch):
-        path = tmp_path / "vectors.csv"
-        path.write_text("1,2\n\n3,100\n")
-        assert run(["bench", "--dist", "file", "--input", str(path), "--m", "4",
-                    "--arch", arch]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: {path}: row 2: value 100 not representable in 4 bits\n")
-
 
 class TestCost:
-    def test_default_grid(self, capsys):
-        assert run(["cost"]) == 0
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        assert lines[0].startswith("n,m,")
-        assert len(lines) == 19  # header + 6x3 grid
-        run(["cost", "--n", "8,16,32,64,128,256", "--m", "8,16,32"])
-        assert capsys.readouterr().out == out
-
-    def test_empty_entry_names_flag(self, capsys):
-        assert run(["cost", "--n", ",8"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --n: not an integer: ''\n"
-
-    def test_signed_entry_names_flag(self, capsys):
-        assert run(["cost", "--n", "8", "--m", "+8"]) == 1
-        assert capsys.readouterr() == ("", "error: --m: not an integer: '+8'\n")
-
-    def test_input_count_past_the_float_range_is_refused(self, tmp_path, capsys):
-        n = 2**1100
-        out = tmp_path / "cost.csv"
-        assert run(["cost", "--n", f"8,{n}", "--m", "8", "--output", str(out)]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: input count must be in 2..4294967296, got {n}\n")
-        assert not out.exists()
-
-    def test_batcher_input_count_refused_as_in_sort(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("4,6,4\n")
-        assert run(["sort", "--input", str(path), "--arch", "batcher", "--m", "3"]) == 1
-        refusal = capsys.readouterr()
-        assert run(["cost", "--n", "3", "--m", "3"]) == 1
-        assert capsys.readouterr() == refusal == (
-            "", "error: input count must be a power of two >= 2, got 3\n")
-
-    def test_single_cell(self, capsys):
-        assert run(["cost", "--n", "8", "--m", "8"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 2
-
-    def test_batcher_column_has_cas_counts(self, capsys):
-        run(["cost"])
-        out = capsys.readouterr().out
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert {int(r[5]) for r in rows} == {24, 80, 240, 672, 1792, 4608}
+    test_default_grid = pinned("cost cost_default_grid")
+    test_single_cell = pinned("cost_8_8")
+    test_batcher_column_has_cas_counts = pinned("cost")
+    test_empty_entry_names_flag = pinned("cost_empty_entry")
+    test_signed_entry_names_flag = pinned("cost_signed_entry")
+    test_input_count_past_the_float_range_is_refused = pinned("cost_n_past_float_range")
+    test_batcher_input_count_refused_as_in_sort = pinned("sort_batcher_3 cost_3_3")
 
 
 class TestCompare:
-    def test_agreement(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("4,6,4,0,7,1,2,2\n")
-        assert run(["compare", "--input", str(path), "--m", "3", "--check"]) == 0
-        assert "agreement:  True" in capsys.readouterr().out
+    test_agreement = pinned("compare_wide32")
+    test_non_power_of_two_fails_validation = pinned("compare_3")
+    test_over_budget_search_exits_one = pinned("compare_over_budget")
 
     def test_check_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MinSortEngine", UnsortingEngine)
@@ -581,11 +324,6 @@ class TestCompare:
         captured = capsys.readouterr()
         assert captured.err == "check failed: architectures disagree\n"
         assert "agreement" not in captured.out
-
-    def test_non_power_of_two_fails_validation(self, tmp_path):
-        path = tmp_path / "in.csv"
-        path.write_text("4,6,4\n")
-        assert run(["compare", "--input", str(path), "--m", "3"]) == 1
 
     def test_input_count_checked_before_any_engine_runs(self, tmp_path, monkeypatch, capsys):
         def refuse(values, width):
@@ -599,60 +337,26 @@ class TestCompare:
         assert capsys.readouterr() == (
             "", "error: input count must be a power of two >= 2, got 3\n")
 
-    def test_over_budget_search_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "in.csv"
-        path.write_text("4294967295,1\n")
-        assert run(["compare", "--input", str(path), "--m", "32"]) == 1
-        assert capsys.readouterr() == ("", (
-            "error: search needs more than 65536 generation cycles at width 32; "
-            "widths up to 16 fit\n"))
-
 
 class TestNetwork:
-    def test_dump(self, capsys):
-        assert run(["network", "--n", "8"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("inputs=8 stages=6 cas=24")
+    test_dump = pinned("network_8")
+    test_too_large_exits_one_and_prints_nothing = pinned("network_1025")
 
     def test_largest_allowed(self, capsys):
+        # not in the corpus: its 400 kB dump would add a SHA256SUMS line
         assert run(["network", "--n", str(cli.MAX_NETWORK_INPUTS)]) == 0
         assert capsys.readouterr().out.startswith("inputs=1024 stages=55 cas=28160\n")
 
-    def test_too_large_exits_one_and_prints_nothing(self, capsys):
-        # checked before the power-of-two rule
-        assert run(["network", "--n", str(cli.MAX_NETWORK_INPUTS + 1)]) == 1
-        assert capsys.readouterr() == ("", "error: --n must be at most 1024, got 1025\n")
+
+@pytest.mark.parametrize("command", ["sort", "compare", "bench"])
+def test_unreadable_input_names_the_file(command):
+    pinned(f"{command}_missing_input {command}_directory_input")()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sort", "--m", "3", "--input"],
-    ["compare", "--m", "3", "--input"],
-    ["bench", "--dist", "file", "--input"],
-], ids=["sort", "compare", "bench"])
-def test_unreadable_input_names_the_file(tmp_path, capsys, argv):
-    for path, code in [(tmp_path / "nope.csv", errno.ENOENT), (tmp_path, errno.EISDIR)]:
-        assert run([*argv, str(path)]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: cannot read {path}: {os.strerror(code)}\n")
-
-
-def test_batcher_input_count_is_capped(tmp_path, capsys):
-    # a network's memory grows as N*log2(N)**2; the cap is checked before
-    # the power-of-two rule, and a refusal writes no file
-    path, out = tmp_path / "in.csv", tmp_path / "out.csv"
-    values = [(5 * i) % 8 for i in range(1024)]
-    path.write_text(",".join(map(str, values)) + "\n")
-    assert run(["sort", "--input", str(path), "--arch", "batcher", "--m", "3",
-                "--output", str(out)]) == 0
-    assert out.read_text() == ",".join(map(str, sorted(values))) + "\n"
-    out.unlink()
-    for n in (1025, 2048):
-        path.write_text(",".join(["1"] * n) + "\n")
-        for argv in (["sort", "--arch", "batcher", "--output", str(out)], ["compare"]):
-            assert run([*argv, "--input", str(path), "--m", "3"]) == 1
-            assert capsys.readouterr() == (
-                "", f"error: input count must be at most 1024, got {n}\n")
-    assert not out.exists()
+# a network's memory grows as N*log2(N)**2; the cap is checked before the
+# power-of-two rule, and a refusal writes no file
+test_batcher_input_count_is_capped = pinned(
+    "sort_batcher_1024 sort_batcher_1025 sort_batcher_2048 compare_1025 compare_2048")
 
 
 class TestNumpyIsLoadedByBenchAlone:
