@@ -35,6 +35,8 @@ MAX_TRIALS = 10_000    # ten times the default
 # one block besides the cycle matrix; over 1000 trials larger blocks were
 # not measurably faster than 64 (README, Speed)
 SAMPLE_BLOCK = 64
+# the only characters allowed around a field, and the only ones in a blank row
+BLANKS = " \t"
 
 
 class OracleMismatch(Exception):
@@ -96,13 +98,13 @@ def _sampled(cfg: BenchConfig):
 
 def parse_int(field: str) -> int:
     """One field: ASCII digits with optional spaces or tabs around them."""
-    digits = field.strip(" \t")
+    digits = field.strip(BLANKS)
     if digits.isascii() and digits.isdigit():
         try:
             return int(digits)
         except ValueError:  # more digits than int() converts
             pass
-    raise ValueError(f"not an integer: {field.strip()!r}")
+    raise ValueError(f"not an integer: {digits!r}")
 
 
 def parse_ints(text: str, source: str) -> list[int]:
@@ -123,9 +125,9 @@ def load_trials(path: str | Path) -> list[list[int]]:
     except OSError as exc:  # name the file, as write_files does
         raise OSError(f"cannot read {path}: {exc.strerror}") from exc
     vectors = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line:
+    # read_text has turned "\r\n" and "\r" into "\n", the only row break
+    for number, line in enumerate(text.split("\n"), start=1):
+        if line.strip(BLANKS):
             vectors.append(parse_ints(line, f"{path} line {number}"))
     if not vectors:
         raise ValueError(f"no input vectors in {path}")

@@ -20,6 +20,7 @@ from dataclasses import asdict, fields
 from .batcher import MAX_NETWORK_INPUTS, batcher_sort, build_bitonic_network
 from .bench import (
     ARCHS,
+    BLANKS,
     DISTS,
     MAX_N,
     MAX_TRIALS,
@@ -65,7 +66,7 @@ def _integer(field: str) -> int:
 
 def _decimal(field: str) -> float:
     if not DECIMAL.fullmatch(field):
-        raise argparse.ArgumentTypeError(f"not a number: {field.strip()!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {field.strip(BLANKS)!r}")
     return float(field)
 
 

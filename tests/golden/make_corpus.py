@@ -39,6 +39,12 @@ ROOT = Path(__file__).resolve().parents[2]
 DIGEST_ABOVE = 16 * 1024
 MANIFEST = "SHA256SUMS"
 
+# (name, field) of each field the grammar refuses in a file: a row ends only
+# at a newline, and only spaces and tabs are blank
+FIELDS = (("arabic_indic", "\u0663"), ("underscore", "1_000"), ("plus", "+5"), ("minus", "-1"),
+          ("hex", "0x7"), ("form_feed", "4\x0c6"), ("line_separator", "4\u20286"),
+          ("no_break_space", "4\xa0"))
+
 INPUTS = {
     # the worked example: two equal minima detected together, then the 6
     "example.csv": "4,6,4",
@@ -66,14 +72,16 @@ INPUTS = {
     "plain.csv": "5,1,3,0\n2,2,7,6",
     "bom.csv": "\ufeff5,1,3,0\n2,2,7,6",
     "later_bom.csv": "5,1,3,0\n\ufeff2,2,7,6",
-    **{f"field_{name}.csv": f"2,{field}" for name, field in (
-        ("arabic_indic", "\u0663"), ("underscore", "1_000"), ("plus", "+5"), ("minus", "-1"),
-        ("hex", "0x7"))},
+    **{f"field_{name}.csv": f"2,{field}" for name, field in FIELDS},
     "bad_row.csv": "1,2,3\n4,,6",
     "unequal_rows.csv": "1,2,3\n4,5,6\n\n7,0",
     "short_row.csv": "1,2,3\n4",
     "one_value_rows.csv": "3\n\n5",
     "unrepresentable.csv": "1,2\n\n3,100",
+    # 1024 values in {0, 1}, the most inputs a benchmark run takes: two wide tie
+    # groups, each the head of in_play (kept in detection order) when it fires
+    # and removed in one slice (distinct1024.csv has one value per group)
+    "binary1024.csv": ",".join(str(i % 3 % 2) for i in range(1024)),
     # the most inputs a network takes, then past the cap
     "batcher1024.csv": ",".join(str(5 * i % 8) for i in range(1024)),
     **{f"ones{n}.csv": ",".join(["1"] * n) for n in (1025, 2048)},
@@ -128,6 +136,9 @@ CASES = [
       for arch in ("min", "max")
       for stem, path, m in (("widest16", "widest16", "16"), ("wide_m32", f"wide_{arch}", "32"))],
     ("sort_blanks", ["sort", "--input", "blanks.csv", "--m", "3"]),
+    *[(f"sort_{arch}_binary1024", ["sort", "--input", "binary1024.csv", "--arch", arch,
+                                   "--m", "1", "--check"])
+      for arch in ("min", "max")],
     # a leading BOM is dropped (each *_bom stdout is its *_plain one); a later one is refused
     *[(f"{command}_{stem}", [*argv, f"{stem}.csv"])
       for command, argv in READERS.items() for stem in ("plain", "bom", "later_bom")],
@@ -140,7 +151,7 @@ CASES = [
     ("sort_empty", ["sort", "--input", "empty.csv", "--m", "3"]),
     ("sort_bad_field", ["sort", "--input", "bad_field.csv", "--m", "3"]),
     *[(f"sort_field_{name}", ["sort", "--input", f"field_{name}.csv", "--m", "16"])
-      for name in ("arabic_indic", "underscore", "plus", "minus", "hex")],
+      for name, _ in FIELDS],
     *[(f"sort_{arch}_over_budget", ["sort", "--input", "over_budget.csv", "--arch", arch,
                                     "--m", "32", "--output", f"sort_{arch}_over_budget.csv",
                                     "--trace", f"sort_{arch}_over_budget.trace.csv"])

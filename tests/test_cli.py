@@ -12,18 +12,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import pinned
 
 from unarysort import bench, cli
-from unarysort.bench import ARCHS, BenchConfig
+from unarysort.bench import BenchConfig
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
 
 # fields the CSV grammar refuses: a digit of another script, an underscore,
-# a sign, a hex prefix, a list, a blank, and more digits than int() converts
-BAD_FIELDS = ["\u0663", "1_0", "+5", "-1", "0x7", "8,16", "", "1" * 4301]
+# a sign, a hex prefix, a list, a blank, more digits than int() converts, and
+# a blank that is neither a space nor a tab
+BAD_FIELDS = ["\u0663", "1_0", "+5", "-1", "0x7", "8,16", "", "1" * 4301, "7\xa0"]
 BAD_FIELD_IDS = ["arabic-indic", "underscore", "plus", "minus", "hex", "list",
-                 "blank", "4301-digits"]
+                 "blank", "4301-digits", "no-break-space"]
 
 # every integer argument, in an argv that is valid but for that field (None)
 INTEGER_ARGUMENTS = [
@@ -40,9 +40,10 @@ INTEGER_ARGUMENTS = [
 
 # fields the decimal grammar refuses: those of BAD_FIELDS that are no
 # decimal either, non-finite names, two points, a bare point, a bare exponent
-BAD_DECIMALS = ["\u0663", "1_0", "+5", "0x7", "8,16", "", "nan", "inf", "1.2.3", ".", "1e"]
-BAD_DECIMAL_IDS = ["arabic-indic", "underscore", "plus", "hex", "list", "blank", "nan",
-                   "inf", "two-points", "point", "bare-exponent"]
+BAD_DECIMALS = ["\u0663", "1_0", "+5", "0x7", "8,16", "", "1\xa0", "nan", "inf", "1.2.3",
+                ".", "1e"]
+BAD_DECIMAL_IDS = ["arabic-indic", "underscore", "plus", "hex", "list", "blank",
+                   "no-break-space", "nan", "inf", "two-points", "point", "bare-exponent"]
 DECIMAL_ARGUMENTS = [
     ("--mu", ["bench", "--trials", "2", "--mu", None]),
     ("--sigma", ["bench", "--trials", "2", "--sigma", None]),
@@ -77,15 +78,47 @@ class UnsortingEngine:
         return self.values
 
 
-# ``pinned`` checks golden corpus cases in the corpus test_golden writes once per run; each
-# behaviour that is one invocation on a fixed input is pinned there, exit and stderr too
 class TestGenerate:
-    test_prints_both_generators = pinned("generate_5_m3")
-    test_zero = pinned("generate_0_m1")
-    test_out_of_range_is_validation_error = pinned("generate_9_m3")
-    test_bad_argument_exits_one = pinned("generate_not_a_number")
-    test_widest_allowed = pinned("generate_40000_m16")
-    test_too_wide_exits_one_and_prints_nothing = pinned("generate_5_m17")
+    """Each generator's stream holds ``value`` ones in ``2**m`` bits, and its
+    written stream is its emission reversed; a refusal prints one error line."""
+
+    def streams(self, capsys, value, m):
+        assert run(["generate", str(value), "--m", str(m)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == f"value {value} width {m} stream length {2 ** m}"
+        assert [row.split()[0] for row in rows] == ["fsm", "counter"]
+        for row in rows:
+            emission, written = (field.split("=")[1] for field in row.split()[1:])
+            assert len(emission) == 2 ** m and emission.count("1") == value
+            assert written == emission[::-1]
+        return rows
+
+    def refused(self, capsys, argv):
+        assert run(["generate", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_error_line(err)
+        return err
+
+    def test_prints_both_generators(self, capsys):
+        assert self.streams(capsys, 5, 3) == ["fsm      emission=11111000 written=00011111",
+                                              "counter  emission=00011111 written=11111000"]
+
+    def test_zero(self, capsys):
+        self.streams(capsys, 0, 1)
+
+    def test_widest_allowed(self, capsys):
+        self.streams(capsys, 40000, 16)
+
+    def test_out_of_range_is_validation_error(self, capsys):
+        assert self.refused(capsys, ["9", "--m", "3"]) == (
+            "error: value 9 not representable in 3 bits\n")
+
+    def test_bad_argument_exits_one(self, capsys):
+        assert "value" in self.refused(capsys, ["not-a-number"])
+
+    def test_too_wide_exits_one_and_prints_nothing(self, capsys):
+        assert "--m" in self.refused(capsys, ["5", "--m", "17"])
 
 
 class TestArguments:
@@ -111,9 +144,6 @@ class TestArguments:
     @pytest.mark.parametrize("field", ["12.5", "-3", "4e9", "0", " 5. ", "\t.5E-1", "1e400"])
     def test_decimal_grammar_accepts(self, field):
         assert cli.PARSER.parse_args(["bench", "--mu", field]).mu == float(field)
-
-    test_blanks_around_an_integer_argument_are_allowed = pinned(
-        "generate_blanks_5_m3 generate_5_m3")
 
     @pytest.mark.parametrize("argv, name", [
         ([], "command"),
@@ -156,30 +186,21 @@ class TestArguments:
 
 
 class TestSort:
-    test_min_sort = pinned("sort_min")
-    test_max_sort = pinned("sort_max")
-    test_batcher_sort = pinned("sort_batcher")
-    test_trace_file = pinned("sort_min_example sort_max_example")
-    test_check_passes = pinned("sort_min_example")
-    test_output_file = pinned("sort_min_example")
-    test_blanks_around_a_field_are_allowed = pinned("sort_blanks")
-    test_widest_in_budget_input_sorts = pinned({a: f"sort_{a}_widest16" for a in ARCHS})
-    test_wide_input_within_budget_sorts = pinned({a: f"sort_{a}_wide_m32" for a in ARCHS})
-    test_leading_bom_is_dropped_and_a_later_one_refused = pinned(
-        {command: f"{command}_plain {command}_bom {command}_later_bom"
-         for command in ("sort", "compare", "bench")})
-    test_empty_file_is_validation_error = pinned("sort_empty")
-    test_missing_file_is_validation_error = pinned("sort_missing_input")
-    test_non_integer_field_names_file_and_field = pinned("sort_bad_field")
-    test_only_ascii_digit_fields_are_integers = pinned({
-        "\u0663": "sort_field_arabic_indic", "1_000": "sort_field_underscore",
-        "+5": "sort_field_plus", "-1": "sort_field_minus", "0x7": "sort_field_hex"})
-    test_over_budget_search_exits_one_and_writes_nothing = pinned(
-        {a: f"sort_{a}_over_budget" for a in ARCHS})
-    test_unwritable_trace_leaves_no_output = pinned("sort_unwritable_trace")
-    test_output_and_trace_naming_one_file_refused = pinned(
-        {"o.csv": "sort_same_file", "./o.csv": "sort_same_file_dotted"})
-    test_batcher_trace_rejected_before_sorting = pinned("sort_batcher_trace")
+    def sorts(self, tmp_path, capsys, arch, values, m):
+        path = tmp_path / "in.csv"
+        path.write_text(",".join(map(str, values)) + "\n")
+        assert run(["sort", "--input", str(path), "--m", str(m), "--arch", arch]) == 0
+        return [int(field) for field in capsys.readouterr().out.split(",")]
+
+    def test_min_sort(self, tmp_path, capsys):
+        assert self.sorts(tmp_path, capsys, "min", [4, 6, 4], 3) == [4, 4, 6]
+
+    def test_max_sort(self, tmp_path, capsys):
+        assert self.sorts(tmp_path, capsys, "max", [4, 6, 4], 3) == [6, 4, 4]
+
+    def test_batcher_sort(self, tmp_path, capsys):
+        values = [4, 6, 4, 0, 7, 1, 2, 2]
+        assert self.sorts(tmp_path, capsys, "batcher", values, 3) == sorted(values)
 
     def test_check_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MinSortEngine", UnsortingEngine)
@@ -229,22 +250,6 @@ class TestSort:
 
 
 class TestBench:
-    test_csv_to_stdout = pinned("bench_stdout")
-    # each case writes its CSV and sidecar afresh, to the corpus's bytes
-    test_check_flag = pinned("bench_uniform_min")
-    test_deterministic_output_files = pinned("bench_uniform_min")
-    test_over_budget_search_exits_one = pinned("bench_over_budget")
-    test_validation_error = pinned("bench_n1")
-    test_bad_distribution_parameters_exit_one = pinned(
-        {f"flags{i}": f"bench_{case}"
-         for i, case in enumerate(["mu_nan", "mu_inf", "sigma_negative", "seed_negative"])})
-    test_bad_row_in_input_file = pinned("bench_bad_row")
-    test_input_without_file_dist_is_refused = pinned("bench_input_without_file_dist")
-    test_unequal_rows_name_file_and_row = pinned("bench_unequal_rows bench_short_row")
-    test_one_value_rows_name_file_and_row = pinned("bench_one_value_rows")
-    test_unrepresentable_value_names_file_and_row = pinned(
-        {a: f"bench_{a}_unrepresentable" for a in ARCHS})
-
     def test_defaults_are_bench_configs(self):
         args = cli.build_parser().parse_args(["bench"])
         defaults = asdict(BenchConfig())
@@ -301,20 +306,17 @@ class TestBench:
         assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 text\n")
 
 
-class TestCost:
-    test_default_grid = pinned("cost cost_default_grid")
-    test_single_cell = pinned("cost_8_8")
-    test_batcher_column_has_cas_counts = pinned("cost")
-    test_empty_entry_names_flag = pinned("cost_empty_entry")
-    test_signed_entry_names_flag = pinned("cost_signed_entry")
-    test_input_count_past_the_float_range_is_refused = pinned("cost_n_past_float_range")
-    test_batcher_input_count_refused_as_in_sort = pinned("sort_batcher_3 cost_3_3")
-
-
 class TestCompare:
-    test_agreement = pinned("compare_wide32")
-    test_non_power_of_two_fails_validation = pinned("compare_3")
-    test_over_budget_search_exits_one = pinned("compare_over_budget")
+    def test_agreement(self, tmp_path, capsys):
+        values = [(113 + 797 * i) % 2048 for i in range(32)]
+        path = tmp_path / "in.csv"
+        path.write_text(",".join(map(str, values)) + "\n")
+        assert run(["compare", "--input", str(path), "--m", "11", "--check"]) == 0
+        rows = (line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+        assert {name: row.strip() for name, row in rows} == {
+            "input": str(values), "min engine": str(sorted(values)),
+            "max engine": str(sorted(values, reverse=True)), "batcher": str(sorted(values)),
+            "agreement": "True"}
 
     def test_check_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MinSortEngine", UnsortingEngine)
@@ -339,24 +341,34 @@ class TestCompare:
 
 
 class TestNetwork:
-    test_dump = pinned("network_8")
-    test_too_large_exits_one_and_prints_nothing = pinned("network_1025")
+    def test_dump(self, capsys):
+        # by the 0-1 principle the dumped stages sort every input if they
+        # sort every input of zeros and ones
+        assert run(["network", "--n", "8"]) == 0
+        header, *stages = capsys.readouterr().out.splitlines()
+        assert header == "inputs=8 stages=6 cas=24" and len(stages) == 6
+        cas = [[(int(i), int(j), order) for i, j, order in
+                (pair.strip("()").split(",") for pair in stage.split(": ")[1].split())]
+               for stage in stages]
+        assert sum(map(len, cas)) == 24
+        for word in range(2 ** 8):
+            lane = [word >> bit & 1 for bit in range(8)]
+            for stage in cas:
+                for i, j, order in stage:
+                    low, high = sorted((lane[i], lane[j]))
+                    lane[i], lane[j] = (low, high) if order == "asc" else (high, low)
+            assert lane == sorted(lane), word
+
+    def test_too_large_exits_one_and_prints_nothing(self, capsys):
+        assert run(["network", "--n", "1025"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --n must be at most 1024, got 1025\n"
 
     def test_largest_allowed(self, capsys):
         # not in the corpus: its 400 kB dump would add a SHA256SUMS line
         assert run(["network", "--n", str(cli.MAX_NETWORK_INPUTS)]) == 0
         assert capsys.readouterr().out.startswith("inputs=1024 stages=55 cas=28160\n")
-
-
-@pytest.mark.parametrize("command", ["sort", "compare", "bench"])
-def test_unreadable_input_names_the_file(command):
-    pinned(f"{command}_missing_input {command}_directory_input")()
-
-
-# a network's memory grows as N*log2(N)**2; the cap is checked before the
-# power-of-two rule, and a refusal writes no file
-test_batcher_input_count_is_capped = pinned(
-    "sort_batcher_1024 sort_batcher_1025 sort_batcher_2048 compare_1025 compare_2048")
 
 
 class TestNumpyIsLoadedByBenchAlone:

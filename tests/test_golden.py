@@ -14,18 +14,12 @@ process, from that list, and compared file by file with ``golden/corpus/``;
 a file too big to read in a diff is compared by its SHA-256 line in
 ``SHA256SUMS``.  An intended output change regenerates only the files it
 names (see ``make_corpus.py``); ``SAME`` lists the files that must stay equal
-when one of them is regenerated.
-
-``check`` compares the files of some cases in that one written corpus, and
-``pinned`` makes a test of it, so that ``test_cli.py`` keeps a test name for
-each behaviour the corpus pins; neither runs a case again.
+when one of them is regenerated.  A case's files carry its behaviour's name,
+so a failure names every behaviour that changed.
 """
 
-import functools
-import tempfile
 from pathlib import Path
 
-import pytest
 from golden import make_corpus
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus"
@@ -44,7 +38,7 @@ SAME = [
 
 def read_corpus(directory: Path) -> dict[str, str]:
     """Each file of a written corpus by name; a digested file is its SHA256SUMS line."""
-    # decoded so that a failure shows a diff; every file is UTF-8 text
+    # every file is UTF-8 text
     files = {path.name: path.read_bytes().decode() for path in directory.iterdir()
              if path.name != make_corpus.MANIFEST}
     for line in (directory / make_corpus.MANIFEST).read_text(encoding="utf-8").splitlines():
@@ -52,47 +46,18 @@ def read_corpus(directory: Path) -> dict[str, str]:
     return files
 
 
-@functools.cache
-def written() -> dict[str, str]:
-    with tempfile.TemporaryDirectory() as tmp:
-        make_corpus.generate(tmp)
-        return read_corpus(Path(tmp))
-
-
-def test_corpus_is_unchanged():
-    expected = read_corpus(CORPUS)
-    assert sorted(written()) == sorted(expected)
-    for name, text in written().items():
-        assert text == expected[name], name
+def test_corpus_is_unchanged(tmp_path):
+    make_corpus.generate(tmp_path)
+    stored, fresh = read_corpus(CORPUS), read_corpus(tmp_path)
+    # every file that differs, in one failure
+    differing = [f"{name}: " + ("not stored" if name not in stored else
+                                "not written" if name not in fresh else "changed")
+                 for name in sorted(stored.keys() | fresh.keys())
+                 if stored.get(name) != fresh.get(name)]
+    assert not differing, "\n".join(differing)
 
 
 def test_related_files_are_equal():
     stored = read_corpus(CORPUS)
     for first, second in SAME:
         assert stored[first] == stored[second], (first, second)
-
-
-def check(cases: str) -> None:
-    """Each of the space-separated corpus ``cases`` left a file in the written
-    corpus, and the same files as ``golden/corpus/``."""
-    stored = read_corpus(CORPUS)
-    for case in cases.split():
-        files = sorted(name for name in written() if name.startswith(f"{case}."))
-        assert files and files == sorted(
-            name for name in stored if name.startswith(f"{case}.")), case
-        for name in files:
-            assert written()[name] == stored[name], name
-
-
-def pinned(cases):
-    """A test that runs ``check``: on ``cases`` if a string, or, if a dict
-    from a test id to cases, as a parametrized test method."""
-    if isinstance(cases, str):
-        def test(*_):  # a method or a function
-            check(cases)
-        return test
-
-    @pytest.mark.parametrize("names", list(cases.values()), ids=list(cases))
-    def test(self, names):
-        check(names)
-    return test
