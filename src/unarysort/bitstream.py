@@ -92,9 +92,6 @@ class UnaryStream:
     def __len__(self) -> int:
         return self.length
 
-    def __iter__(self):
-        return iter(self.bits)
-
     @property
     def popcount(self) -> int:
         return self.lane.bit_count()

@@ -39,7 +39,7 @@ that head with one slice deletion, after checking that it is the group.
 :meth:`IterativeEngine.run` finishes a tie group a ``tick()`` left pending,
 then alternates ``_search`` up to the next detection with ``_drain`` of the
 whole group, so it logs only the cycles that detect and one record per
-group; ``trace.events`` fills the gaps and splits the groups.
+group; ``trace.events`` is a view that fills the gaps and splits the groups.
 """
 
 from __future__ import annotations

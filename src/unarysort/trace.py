@@ -77,22 +77,20 @@ class CycleTrace:
 
     @property
     def events(self) -> list[TraceEvent]:
-        """One event per cycle: the records, their gaps filled and their tie
-        groups split into single writes in place by the first read."""
-        records = self.records
-        if records and len(records) < records[-1].last_cycle:
-            filled, cycle, elapsed = [], 0, 0
-            for r in records:
-                filled += [TraceEvent(cycle + k, elapsed + k, (), ())
-                           for k in range(1, r.cycle - cycle)]
-                if len(r.writes) > 1:
-                    filled += [TraceEvent(c, r.elapsed, (), (w,))
-                               for c, w in enumerate(r.writes, r.cycle)]
-                else:
-                    filled.append(r)
-                cycle, elapsed = r.last_cycle, r.elapsed
-            records[:] = filled
-        return records
+        """One event per cycle: a new list of the records with their gaps
+        filled and their tie groups split into single writes, built on each
+        read.  The records are left as they are."""
+        events, cycle, elapsed = [], 0, 0
+        for r in self.records:
+            events += [TraceEvent(cycle + k, elapsed + k, (), ())
+                       for k in range(1, r.cycle - cycle)]
+            if len(r.writes) > 1:
+                events += [TraceEvent(c, r.elapsed, (), (w,))
+                           for c, w in enumerate(r.writes, r.cycle)]
+            else:
+                events.append(r)
+            cycle, elapsed = r.last_cycle, r.elapsed
+        return events
 
     def writes(self) -> list[tuple[int, int]]:
         """All (address, value) pairs in write order."""

@@ -116,8 +116,8 @@ class TestCasApply:
     def test_streams_split_to_min_and_max(self):
         a = encode_right_aligned(4, 3)
         b = encode_right_aligned(6, 3)
-        low = tuple(x & y for x, y in zip(a, b))
-        high = tuple(x | y for x, y in zip(a, b))
+        low = tuple(x & y for x, y in zip(a.bits, b.bits))
+        high = tuple(x | y for x, y in zip(a.bits, b.bits))
         assert sum(low) == 4 and sum(high) == 6
 
     def test_and_or_min_max_exhaustive(self):

@@ -13,7 +13,11 @@ from half way and, where asked, from every tick count to end where the ticks
 end.  ``run()`` may differ only in leaving quiet search cycles unlogged, as
 gaps, and in logging each tie group's writes as one record.  Here both run
 on every vector with N in {2, 3, 4} and m in {1, 2, 3} and on seeded wide
-vectors with few distinct values; the other modules call them on their own.
+vectors with few distinct values.  :func:`check_seeded` runs
+:func:`check_run` on both engines for each vector of a seeded draw of up to
+eight inputs; the other modules call these on their own.
+:class:`InterleavedReads` clocks and reads an engine in any order and
+requires the tick-only result.
 """
 
 import contextlib
@@ -21,6 +25,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from unarysort import bench
 from unarysort import engine as engine_module
@@ -152,8 +158,8 @@ def check_against_ticks(engine_cls, values, width: int, resume_every: bool = Fal
                 outputs = engine.outputs
             run_context = ("run", *context, ticks)
             trace = engine.trace
-            # a short trace fails here before total_cycles() refuses it, and
-            # events, which fills the gaps in place, is read last
+            # a short trace fails here before total_cycles() refuses it; events
+            # is a new list built from the records on each read and edits nothing
             assert outputs == reference.outputs, run_context
             assert trace.csv_rows() == rows, run_context
             assert trace.total_cycles() == cycles, run_context
@@ -189,6 +195,13 @@ def seeded_vectors(seed: int, count: int, n, width):
         size, m = (rng.randrange(r.start, r.stop) if isinstance(r, range) else r
                    for r in (n, width))
         yield [rng.randrange(1 << m) for _ in range(size)], m
+
+
+def check_seeded(seed: int, count: int, n, width) -> None:
+    """:func:`check_run` on both engines for every vector of the draw."""
+    for values, m in seeded_vectors(seed, count, n, width):
+        check_run(MinSortEngine, values, m)
+        check_run(MaxSortEngine, values, m)
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
@@ -277,3 +290,66 @@ def test_refused_exactly_when_search_exceeds_budget(engine_cls, monkeypatch):
                 assert engine_cls(values, width).run() == sorted(
                     values, reverse=engine_cls.arch == "max"), values
     assert refused == 4336  # the m=3 vectors holding a value detected after cycle 4
+
+
+def reference_run(engine_cls, values, width: int):
+    """What a tick-only run of ``values`` leaves: outputs, CSV rows, total
+    cycles, detection cycles and events."""
+    engine = engine_cls(values, width)
+    while not engine.done:
+        engine.tick()
+    trace = engine.trace
+    return (engine.outputs, trace.csv_rows(), trace.total_cycles(),
+            bench.detection_cycles(trace), trace.events)
+
+
+@st.composite
+def small_vectors(draw):
+    width = draw(st.integers(1, 4))
+    return draw(st.lists(st.integers(0, (1 << width) - 1), min_size=2, max_size=8)), width
+
+
+class InterleavedReads(RuleBasedStateMachine):
+    """``tick()``, ``run()`` and the trace's readers in any order end where
+    the ticks alone end: no read changes what a later clock or read sees."""
+
+    @initialize(engine_cls=st.sampled_from([MinSortEngine, MaxSortEngine]),
+                vector=small_vectors())
+    def build(self, engine_cls, vector):
+        self.engine = engine_cls(*vector)
+        self.reference = reference_run(engine_cls, *vector)
+        self.outputs, self.rows, _, _, self.events = self.reference
+
+    @precondition(lambda self: not self.engine.done)
+    @rule()
+    def tick(self):
+        self.engine.tick()
+
+    @rule()
+    def run(self):
+        assert self.engine.run() == self.outputs
+
+    @rule()
+    def read_events(self):
+        # ticks log every cycle and run() ends the run, so what is logged so
+        # far is the reference's first cycles
+        assert self.engine.trace.events == self.events[:self.engine.cycle]
+
+    @rule()
+    def read_csv_rows(self):
+        assert self.engine.trace.csv_rows() == self.rows[:self.engine.cycle + 1]
+
+    @rule()
+    def read_phase(self):
+        if not self.engine.done:
+            assert self.engine.phase is self.events[self.engine.cycle].phase
+
+    @invariant()
+    def ends_as_the_ticks_end(self):
+        if self.engine.done:
+            trace = self.engine.trace
+            assert (self.engine.outputs, trace.csv_rows(), trace.total_cycles(),
+                    bench.detection_cycles(trace), trace.events) == self.reference
+
+
+TestInterleavedReads = InterleavedReads.TestCase

@@ -1,10 +1,9 @@
 import pytest
 
 from unarysort.max_sorter import MaxSortEngine, max_bit, sort_descending
-from unarysort.min_sorter import MinSortEngine
 from unarysort.trace import Phase
 
-from test_engine_trace import check_run, seeded_vectors
+from test_engine_trace import check_run, check_seeded
 
 
 class TestMaxBit:
@@ -62,16 +61,12 @@ class TestMaxEngine:
 
 class TestCrossArchitecture:
     def test_reverse_of_min_engine(self):
-        for values, width in seeded_vectors(13, 300, 8, 8):
-            check_run(MinSortEngine, values, width)
-            check_run(MaxSortEngine, values, width)
+        check_seeded(13, 300, 8, 8)
 
     def test_detection_time_law(self):
         # value v is detected at generation cycle 2**m - v
-        for values, width in seeded_vectors(17, 200, 4, range(1, 9)):
-            check_run(MaxSortEngine, values, width)
+        check_seeded(17, 200, 4, range(1, 9))
 
     def test_closed_form_cycle_count(self):
         # total cycles = (2**m - min value) generation + N writes
-        for values, width in seeded_vectors(19, 300, range(2, 9), range(1, 9)):
-            check_run(MaxSortEngine, values, width)
+        check_seeded(19, 300, range(2, 9), range(1, 9))

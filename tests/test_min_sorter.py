@@ -5,7 +5,7 @@ from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine, sort_ascending
 from unarysort.trace import Phase
 
-from test_engine_trace import check_against_ticks, check_run, seeded_vectors
+from test_engine_trace import check_against_ticks, check_run, check_seeded
 
 
 class TestEngineConstruction:
@@ -95,21 +95,17 @@ class TestSortProperties:
         assert sort_ascending([0, 1, 2, 3], 3)[0] == [0, 1, 2, 3]
 
     def test_random_vectors_match_reference(self):
-        for values, width in seeded_vectors(11, 500, 8, 8):
-            check_run(MinSortEngine, values, width)
+        check_seeded(11, 500, 8, 8)
 
     def test_output_multiset_preserved(self):
-        for values, width in seeded_vectors(5, 100, 6, 4):
-            check_run(MinSortEngine, values, width)
+        check_seeded(5, 100, 6, 4)
 
     def test_written_values_non_decreasing(self):
-        for values, width in seeded_vectors(3, 100, 5, 5):
-            check_run(MinSortEngine, values, width)
+        check_seeded(3, 100, 5, 5)
 
     def test_detection_time_law(self):
         # value v first emits a 0 in generation cycle v + 1
-        for values, width in seeded_vectors(9, 200, 4, range(1, 9)):
-            check_run(MinSortEngine, values, width)
+        check_seeded(9, 200, 4, range(1, 9))
 
     def test_detected_units_are_done(self):
         engine = MinSortEngine([5, 2, 2, 7], 3)
@@ -126,8 +122,7 @@ class TestSortProperties:
 class TestCycleCounts:
     def test_closed_form_random(self):
         # total cycles = (max value + 1) generation + N writes
-        for values, width in seeded_vectors(21, 300, range(2, 9), range(1, 9)):
-            check_run(MinSortEngine, values, width)
+        check_seeded(21, 300, range(2, 9), range(1, 9))
 
     def test_all_zeros(self):
         check_run(MinSortEngine, [0, 0, 0, 0], 3)

@@ -9,13 +9,15 @@ called once per in-play unit per search cycle and looked up at call time,
 the public engine classes built by name in ``bench``, ``cli`` and the
 ``sort_*`` helpers, and ``build_bitonic_network`` looked up by name at each
 call, so that the ``batcher.build`` span counts every request for a network
-even though the network is cached.  It also relies on ``CycleTrace.events``
-returning one list, the trace's records with the quiet cycles in their gaps
-filled and each tie group's record split into single-write events, both in
-place, that every later reading of the trace sees: the wrong-output probe
-edits that list after ``run()``, and ``writes()``, ``csv_rows()``,
-``total_cycles()`` and ``bench.detection_cycles`` must count the edit; and
-the per-layer counts read one drain cycle per event.
+even though the network is cached.  The per-layer counts read one drain
+cycle per event of ``CycleTrace.events``, a new list built from the records
+on each read.  So the wrong-output probe, which edits the events after
+``run()``, edits a copy: it is caught by the flipped value it also writes
+into the outputs, which each gate compares with ``sorted()`` (``sort
+--check`` exits 2 on ``wide_sort``, the sorted check fails on ``tie_drain``,
+and ``run_bench(check=True)`` compares outputs on ``mc_bench``).  The
+wrong-cycles probe appends its late record through ``CycleTrace.append``, so
+``total_cycles()`` and every reader count the extra cycle.
 """
 
 import json

@@ -23,17 +23,21 @@ def test_cycles_strictly_increase():
     assert [e.elapsed for e in trace.events] == [1, 2, 3, 4, 5, 6]
 
 
-def test_events_fills_the_quiet_cycles_once_in_place():
+def test_events_is_built_on_each_read_and_leaves_the_records_alone():
     engine = MinSortEngine([4, 6, 4], 3)
     engine.run()
     trace = engine.trace
+    records = trace.records
     # the tie group of inputs 0 and 2 is one record standing for cycles 6 and 7
-    assert [r.cycle for r in trace.records] == [5, 6, 9, 10]
-    assert [len(r.writes) for r in trace.records] == [0, 2, 0, 1]
-    assert [r.phase for r in trace.records] == [Phase.SEARCH, Phase.DRAIN,
-                                                Phase.SEARCH, Phase.DRAIN]
+    assert [r.cycle for r in records] == [5, 6, 9, 10]
+    assert [len(r.writes) for r in records] == [0, 2, 0, 1]
+    assert [r.phase for r in records] == [Phase.SEARCH, Phase.DRAIN,
+                                          Phase.SEARCH, Phase.DRAIN]
+    kept = list(records)
     events = trace.events
-    assert trace.events is events is trace.records
+    assert trace.records is records and len(records) == 4
+    assert all(r is k for r, k in zip(records, kept))
+    assert trace.events == events and trace.events is not events
     assert [e.cycle for e in events] == list(range(1, 11))
     assert all(len(e.writes) <= 1 for e in events)
     assert [e.writes for e in events[5:7]] == [((0, 4),), ((1, 4),)]
@@ -80,26 +84,28 @@ def test_a_gap_after_a_drain_continues_the_frozen_elapsed():
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
-def test_an_edit_to_events_is_seen_by_every_reader(engine_cls):
-    # the benchmark's wrong-output probe edits a run's events in place and
-    # relies on the gate seeing the edit
+def test_an_edit_to_records_is_seen_by_every_reader(engine_cls):
+    # every reader walks the records, so none keeps a copy an edit misses
     engine = engine_cls([4, 6, 4], 3)
     engine.run()
     trace = engine.trace
     cycles = trace.total_cycles()
-    k = next(i for i, e in enumerate(trace.events) if e.writes)
-    trace.events[k] = dataclasses.replace(trace.events[k], elapsed=99, writes=((0, 5),))
+    k, r = next((k, r) for k, r in enumerate(trace.records) if r.writes)
+    trace.records[k] = dataclasses.replace(r, elapsed=99, writes=((0, 5),) + r.writes[1:])
     assert trace.writes()[0] == (0, 5)
     assert detection_cycles(trace)[0] == 99
-    assert trace.csv_rows()[k + 1].endswith(",0:5")
-    # the benchmark's wrong-cycles probe appends a record one cycle late; it
-    # copies a drain record but writes nothing, so it reads as a search cycle
-    last = trace.events[-1]
-    late = dataclasses.replace(last, cycle=last.cycle + 1, writes=())
+    assert trace.csv_rows()[r.cycle].endswith(",0:5")  # row 0 is the header
+    assert trace.events[r.cycle - 1].writes == ((0, 5),)
+    assert trace.total_cycles() == cycles
+    # a record appended one cycle late; it copies a drain record but writes
+    # nothing, so it reads as one more search cycle
+    last = trace.records[-1]
+    late = dataclasses.replace(last, cycle=last.last_cycle + 1, writes=())
     assert (last.phase, late.phase) == (Phase.DRAIN, Phase.SEARCH)
     trace.append(late)
     assert trace.total_cycles() == cycles + 1
     assert trace.csv_rows()[-1] == f"{trace.arch},{late.cycle},search,0,,"
+    assert trace.events[-1] is late and len(trace.events) == cycles + 1
 
 
 def test_detected_count_is_the_popcount_of_detected():
