@@ -21,7 +21,8 @@ unit = FsmGenerator(4, WIDTH)
 print("cycle  bit  remainder  state")
 for cycle in range(1, (1 << WIDTH) + 1):
     bit = unit.step()
-    print(f"{cycle:5d}  {bit:3d}  {unit.remainder:9d}  {unit.state.value}")
+    state = "emitting" if unit.remainder else "done"
+    print(f"{cycle:5d}  {bit:3d}  {unit.remainder:9d}  {state}")
 
 print()
 print("Both generators, written side by side:")

@@ -26,7 +26,8 @@ from .max_sorter import MaxSortEngine
 from .min_sorter import MinSortEngine
 from .trace import CycleTrace
 
-ARCHS = ("min", "max")
+# the one place where an arch name becomes an engine class
+ENGINES = {"min": MinSortEngine, "max": MaxSortEngine}
 DISTS = ("gaussian", "uniform", "file")
 # a run holds a trials x n matrix of int64 cycles: 78 MiB at both caps
 MAX_N = 1024           # the `network --n` cap
@@ -45,7 +46,7 @@ class OracleMismatch(Exception):
 
 @dataclass(frozen=True)
 class BenchConfig:
-    arch: str = "min"          # one of ARCHS
+    arch: str = "min"          # a key of ENGINES
     n: int = 8
     m: int = 8
     dist: str = "gaussian"     # one of DISTS
@@ -56,7 +57,7 @@ class BenchConfig:
     input_path: str | None = None
 
     def __post_init__(self):
-        if self.arch not in ARCHS:
+        if self.arch not in ENGINES:
             raise ValueError(f"bench supports arch 'min' or 'max', got {self.arch!r}")
         if self.dist not in DISTS:
             raise ValueError(f"unknown distribution {self.dist!r}")
@@ -139,14 +140,6 @@ def detection_cycles(trace: CycleTrace) -> list[int]:
     return [record.elapsed for record in trace.records for _ in record.writes]
 
 
-def _run_engine(cfg: BenchConfig, values: list[int]) -> tuple[list[int], list[int]]:
-    """The engine's outputs and the detection cycle of each output rank."""
-    engine_cls = MinSortEngine if cfg.arch == "min" else MaxSortEngine
-    engine = engine_cls(values, cfg.m)
-    outputs = engine.run()
-    return outputs, detection_cycles(engine.trace)
-
-
 def oracle_cycles(cfg: BenchConfig, values: list[int]) -> list[int]:
     """Independent prediction from a reference sort of the sample.
 
@@ -171,9 +164,14 @@ class BenchResult:
         return rows
 
     def metadata(self) -> dict:
-        meta = asdict(self.config)
+        meta = asdict(self.config)  # less the fields that did not shape the run
         meta["version"] = __version__
-        meta["rng"] = "numpy default_rng (PCG64), trial i seeded with seed + i"
+        if self.config.dist != "gaussian":  # the only one that reads mu and sigma
+            del meta["mu"], meta["sigma"]
+        if self.config.dist == "file":  # samples nothing
+            del meta["seed"]
+        else:
+            meta["rng"] = "numpy default_rng (PCG64), trial i seeded with seed + i"
         return meta
 
 
@@ -202,11 +200,13 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
     cycles = np.empty((cfg.trials, cfg.n), dtype=np.int64)
     for i, values in enumerate(trials):
         try:
-            outputs, measured = _run_engine(cfg, values)
+            engine = ENGINES[cfg.arch](values, cfg.m)
         except ValueError as exc:  # the engine checks the words; name a file's row
             if cfg.dist == "file":
                 raise ValueError(f"{cfg.input_path}: row {i + 1}: {exc}") from None
             raise
+        outputs = engine.run()
+        measured = detection_cycles(engine.trace)
         if check:
             expected = oracle_cycles(cfg, values)
             if measured != expected:

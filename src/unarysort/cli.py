@@ -19,9 +19,9 @@ from dataclasses import asdict, fields
 
 from .batcher import MAX_NETWORK_INPUTS, batcher_sort, build_bitonic_network
 from .bench import (
-    ARCHS,
     BLANKS,
     DISTS,
+    ENGINES,
     MAX_N,
     MAX_TRIALS,
     BenchConfig,
@@ -36,8 +36,6 @@ from .bench import (
 from .bitstream import emission_str, written_str
 from .cost import TABLE_M, TABLE_N, cost_table
 from .generators import counter_generate, fsm_generate
-from .max_sorter import MaxSortEngine
-from .min_sorter import MinSortEngine
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -104,8 +102,7 @@ def cmd_sort(args) -> int:
     if args.arch == "batcher":
         outputs = batcher_sort(values, args.m)
     else:
-        engine_cls = MinSortEngine if args.arch == "min" else MaxSortEngine
-        engine = engine_cls(values, args.m)
+        engine = ENGINES[args.arch](values, args.m)
         outputs = engine.run()
         if args.trace:
             traces.append((args.trace, "\n".join(engine.trace.csv_rows()) + "\n"))
@@ -146,8 +143,8 @@ def cmd_compare(args) -> int:
     # first: the network refuses an N that is too large or not a power of
     # two, and is fast
     network = batcher_sort(values, args.m)
-    ascending = MinSortEngine(values, args.m).run()
-    descending = MaxSortEngine(values, args.m).run()
+    ascending = ENGINES["min"](values, args.m).run()
+    descending = ENGINES["max"](values, args.m).run()
     print(f"input:      {values}")
     print(f"min engine: {ascending}")
     print(f"max engine: {descending}")
@@ -180,7 +177,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sort", help="sort a CSV of integers")
     p.add_argument("--input", required=True, help="CSV file of unsigned integers")
-    p.add_argument("--arch", choices=("min", "max", "batcher"), default="min")
+    p.add_argument("--arch", choices=(*ENGINES, "batcher"), default="min")
     p.add_argument("--m", type=_integer, default=8)
     p.add_argument("--output", help="write sorted CSV here instead of stdout")
     p.add_argument("--trace", help="write the cycle trace CSV here")
@@ -189,7 +186,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sort)
 
     p = sub.add_parser("bench", help="cycle-count benchmark over random inputs")
-    p.add_argument("--arch", choices=ARCHS)
+    p.add_argument("--arch", choices=ENGINES)
     p.add_argument("--n", type=_integer, help=f"inputs per trial, 2 to {MAX_N}")
     p.add_argument("--m", type=_integer)
     p.add_argument("--dist", choices=DISTS)

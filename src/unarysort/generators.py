@@ -13,14 +13,7 @@ clock cycle:
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .bitstream import UnaryStream, check_word
-
-
-class GeneratorState(Enum):
-    EMITTING = "emitting"  # output is 1 while bits remain
-    DONE = "done"          # absorbing; output is 0 from here on
 
 
 class FsmGenerator:
@@ -28,9 +21,9 @@ class FsmGenerator:
 
     Holds the input word in an M-bit remainder register and emits one bit
     per :meth:`step`: the OR-reduction of the remainder's bits, 1 while it
-    is nonzero, and each emitted 1 decrements it.  The FSM state is derived
-    from the remainder, not stored: EMITTING while it is nonzero, else the
-    absorbing DONE, which emits zeros.  After ``2**width`` steps the
+    is nonzero, and each emitted 1 decrements it.  The FSM's two states are
+    read off the remainder, not stored: emitting while it is nonzero, else
+    the absorbing done state, which emits zeros.  After ``2**width`` steps the
     emitted bits form the right-aligned encoding of the value.
 
     Parameters
@@ -46,11 +39,6 @@ class FsmGenerator:
     def __init__(self, value: int, width: int):
         check_word(value, width)
         self.remainder = value
-
-    @property
-    def state(self) -> GeneratorState:
-        """EMITTING while bits remain, else DONE."""
-        return GeneratorState.EMITTING if self.remainder else GeneratorState.DONE
 
     def step(self) -> int:
         """Advance one clock cycle; returns the emitted bit (1 while bits remain)."""

@@ -137,19 +137,19 @@ class TestAggregates:
         # never runs more than one block ahead of the engine runs
         cfg = BenchConfig(n=5, m=6, mu=30, sigma=9, trials=trials, seed=3)
         cycles = np.array([oracle_cycles(cfg, sample_trial(cfg, i)) for i in range(trials)])
-        sampled, runs, run_engine = [], [0], bench._run_engine
+        sampled, builds = [], [0]
 
         def sample(cfg, trial):
-            assert trial - runs[0] < SAMPLE_BLOCK
+            assert trial - builds[0] < SAMPLE_BLOCK
             sampled.append(trial)
             return sample_trial(cfg, trial)
 
-        def counted_run(cfg, values):
-            runs[0] += 1
-            return run_engine(cfg, values)
+        def counted_build(values, width):
+            builds[0] += 1
+            return MinSortEngine(values, width)
 
         monkeypatch.setattr(bench, "sample_trial", sample)
-        monkeypatch.setattr(bench, "_run_engine", counted_run)
+        monkeypatch.setitem(bench.ENGINES, "min", counted_build)
         result = run_bench(cfg, check=True)
         assert sampled == list(range(trials))
         assert result.mean_cycles == [float(v) for v in cycles.mean(axis=0)]
@@ -171,6 +171,21 @@ class TestOutput:
         meta = json.loads((tmp_path / "bench.csv.meta.json").read_text())
         assert meta["seed"] == 1 and meta["n"] == 4
         assert "rng" in meta and "version" in meta
+
+    def test_sidecar_records_only_what_shaped_the_run(self, tmp_path):
+        # a file run samples nothing, and only a gaussian run reads mu and sigma
+        path = tmp_path / "vectors.csv"
+        path.write_text("4,6,4,0\n1,1,2,3\n")
+        runs = {"file": BenchConfig(dist="file", input_path=str(path), m=3),
+                "uniform": BenchConfig(n=4, m=3, dist="uniform", trials=5)}
+        for name, cfg in runs.items():
+            write_bench_csv(run_bench(cfg), tmp_path / f"{name}.csv")
+        file_meta, uniform_meta = (json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+                                   for name in runs)
+        assert not {"rng", "seed", "mu", "sigma"} & file_meta.keys()
+        assert file_meta["input_path"] == str(path) and file_meta["trials"] == 2
+        assert not {"mu", "sigma"} & uniform_meta.keys()
+        assert uniform_meta["seed"] == 1 and "rng" in uniform_meta
 
     def test_file_distribution(self, tmp_path):
         path = tmp_path / "vectors.csv"

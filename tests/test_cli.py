@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -161,6 +162,15 @@ class TestArguments:
         assert_one_error_line(err)
         assert name in err and "usage" not in err
 
+    def test_arch_choices_come_from_the_engine_table(self):
+        commands = next(action.choices for action in cli.PARSER._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        sort_archs, bench_archs = (
+            next(action.choices for action in commands[name]._actions if action.dest == "arch")
+            for name in ("sort", "bench"))
+        assert tuple(sort_archs) == (*bench.ENGINES, "batcher")
+        assert list(bench_archs) == list(bench.ENGINES)
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["sort", "--help"])
@@ -203,7 +213,7 @@ class TestSort:
         assert self.sorts(tmp_path, capsys, "batcher", values, 3) == sorted(values)
 
     def test_check_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "MinSortEngine", UnsortingEngine)
+        monkeypatch.setitem(bench.ENGINES, "min", UnsortingEngine)
         path = tmp_path / "in.csv"
         path.write_text("3,1,2\n")
         assert run(["sort", "--input", str(path), "--m", "2", "--check"]) == 2
@@ -260,7 +270,7 @@ class TestBench:
 
     def test_check_mismatch_exits_two(self, monkeypatch, capsys):
         # a max engine detects at 2**m - v, never where the min oracle expects
-        monkeypatch.setattr(bench, "MinSortEngine", MaxSortEngine)
+        monkeypatch.setitem(bench.ENGINES, "min", MaxSortEngine)
         assert run(["bench", "--n", "4", "--m", "4", "--trials", "3",
                     "--mu", "8", "--sigma", "3", "--check"]) == 2
         captured = capsys.readouterr()
@@ -319,7 +329,7 @@ class TestCompare:
             "agreement": "True"}
 
     def test_check_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "MinSortEngine", UnsortingEngine)
+        monkeypatch.setitem(bench.ENGINES, "min", UnsortingEngine)
         path = tmp_path / "in.csv"
         path.write_text("4,6,4,0,7,1,2,2\n")
         assert run(["compare", "--input", str(path), "--m", "3", "--check"]) == 2
@@ -331,8 +341,8 @@ class TestCompare:
         def refuse(values, width):
             raise AssertionError("an engine ran before the input count was checked")
 
-        monkeypatch.setattr(cli, "MinSortEngine", refuse)
-        monkeypatch.setattr(cli, "MaxSortEngine", refuse)
+        monkeypatch.setitem(bench.ENGINES, "min", refuse)
+        monkeypatch.setitem(bench.ENGINES, "max", refuse)
         path = tmp_path / "in.csv"
         path.write_text("65535,0,3\n")
         assert run(["compare", "--input", str(path), "--m", "16"]) == 1

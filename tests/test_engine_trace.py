@@ -204,26 +204,19 @@ def check_seeded(seed: int, count: int, n, width) -> None:
         check_run(MaxSortEngine, values, m)
 
 
+# on the vectors that resume after every number of ticks, run() finishes
+# what the ticks began, a tie group left mid-drain first
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
 def test_every_small_vector(engine_cls):
     assert len(SMALL_VECTORS) == 5036
     for values, width in SMALL_VECTORS:
-        check_against_ticks(engine_cls, values, width)
+        check_against_ticks(engine_cls, values, width, resume_every=len(values) <= 3)
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
 def test_seeded_tie_heavy_vectors(engine_cls):
-    for values, width in TIE_HEAVY_VECTORS:
-        check_against_ticks(engine_cls, values, width)
-
-
-@pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
-def test_run_resumes_where_ticks_stopped(engine_cls):
-    # run() after any number of ticks finishes what they began, a tie group
-    # left mid-drain first
-    vectors = [(v, w) for v, w in SMALL_VECTORS if len(v) <= 3] + TIE_HEAVY_VECTORS[::50]
-    for values, width in vectors:
-        check_against_ticks(engine_cls, values, width, resume_every=True)
+    for k, (values, width) in enumerate(TIE_HEAVY_VECTORS):
+        check_against_ticks(engine_cls, values, width, resume_every=k % 50 == 0)
 
 
 def interleaved_group(size: int) -> tuple[list[int], int]:

@@ -1,30 +1,23 @@
 import pytest
 
 from unarysort.bitstream import decode, encode_right_aligned
-from unarysort.generators import (
-    FsmGenerator,
-    GeneratorState,
-    counter_generate,
-    fsm_generate,
-)
+from unarysort.generators import FsmGenerator, counter_generate, fsm_generate
 
 
 class TestFsmUnit:
     def test_load(self):
         unit = FsmGenerator(4, 3)
         assert unit.remainder == 4
-        assert unit.state is GeneratorState.EMITTING
 
     def test_load_zero(self):
         unit = FsmGenerator(0, 3)
-        assert unit.state is GeneratorState.DONE  # derived from the remainder
+        assert unit.remainder == 0  # done from the start
         assert unit.step() == 0
-        assert unit.state is GeneratorState.DONE
+        assert unit.remainder == 0
 
     def test_load_max(self):
         unit = FsmGenerator(7, 3)
         assert unit.remainder == 7
-        assert unit.state is GeneratorState.EMITTING
 
     def test_step_decrements(self):
         # the subtract-the-emitted-bit recurrence: 4 -> 3 -> 2 -> 1 -> 0
@@ -42,26 +35,14 @@ class TestFsmUnit:
         unit = FsmGenerator(0, 3)
         for _ in range(10):
             assert unit.step() == 0
-            assert unit.state is GeneratorState.DONE
             assert unit.remainder == 0
 
-    def test_state_tracks_remainder(self):
-        unit = FsmGenerator(5, 3)
-        for _ in range(8):
-            unit.step()
-            assert (unit.state is GeneratorState.DONE) == (unit.remainder == 0)
-
     def test_exactly_one_transition_when_nonzero(self):
+        # emitting -> done once: the emitted bits have one edge, from 1 to 0
         for v in range(1, 16):
             unit = FsmGenerator(v, 4)
-            transitions = 0
-            prev = unit.state
-            for _ in range(16):
-                unit.step()
-                if unit.state is not prev:
-                    transitions += 1
-                    prev = unit.state
-            assert transitions == 1
+            bits = [unit.step() for _ in range(16)]
+            assert [(a, b) for a, b in zip(bits, bits[1:]) if a != b] == [(1, 0)]
 
     def test_deterministic(self):
         a = [FsmGenerator(5, 3).step() for _ in range(1)]

@@ -1,6 +1,5 @@
 import pytest
 
-from unarysort.generators import GeneratorState
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine, sort_ascending
 from unarysort.trace import Phase
@@ -30,7 +29,7 @@ class TestEngineConstruction:
 
     def test_zero_inputs_start_inactive(self):
         engine = MinSortEngine([0, 0], 3)
-        assert [u.state for u in engine.units] == [GeneratorState.DONE] * 2
+        assert [u.remainder for u in engine.units] == [0, 0]
 
 
 class TestWorkedExample:
@@ -112,7 +111,7 @@ class TestSortProperties:
         while not engine.done:
             engine.tick()
             for i in set(range(engine.n)).difference(engine.in_play):
-                assert engine.units[i].state is GeneratorState.DONE
+                assert engine.units[i].remainder == 0
 
     def test_ties_drain_one_per_cycle(self):
         # k equal minima: one detection record, then k writes, one per tick

@@ -6,10 +6,10 @@ the generator-step and comparator counts read off the trace equal the real
 calls.  It relies on the package keeping its shape: ``run`` and ``__init__``
 in each engine class's own body, ``FsmGenerator.step`` and ``max_bit``
 called once per in-play unit per search cycle and looked up at call time,
-the public engine classes built by name in ``bench``, ``cli`` and the
-``sort_*`` helpers, and ``build_bitonic_network`` looked up by name at each
-call, so that the ``batcher.build`` span counts every request for a network
-even though the network is cached.  The per-layer counts read one drain
+the public engine classes looked up in ``bench.ENGINES`` by ``bench`` and
+``cli`` and named in the ``sort_*`` helpers, and ``build_bitonic_network``
+looked up by name at each call, so that the ``batcher.build`` span counts
+every request for a network even though the network is cached.  The per-layer counts read one drain
 cycle per event of ``CycleTrace.events``, a new list built from the records
 on each read.  So the wrong-output probe, which edits the events after
 ``run()``, edits a copy: it is caught by the flipped value it also writes
