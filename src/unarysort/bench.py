@@ -61,7 +61,7 @@ class BenchConfig:
             raise ValueError(f"bench supports arch 'min' or 'max', got {self.arch!r}")
         if self.dist not in DISTS:
             raise ValueError(f"unknown distribution {self.dist!r}")
-        if (self.dist == "file") != bool(self.input_path):
+        if (self.dist == "file") != (self.input_path is not None):
             raise ValueError("dist 'file' and an input path go together")
         if not is_int_in(self.n, 2, MAX_N):
             raise ValueError(f"n must be in 2..{MAX_N}, got {self.n}")
@@ -170,7 +170,8 @@ class BenchResult:
             del meta["mu"], meta["sigma"]
         if self.config.dist == "file":  # samples nothing
             del meta["seed"]
-        else:
+        else:  # reads no file
+            del meta["input_path"]
             meta["rng"] = "numpy default_rng (PCG64), trial i seeded with seed + i"
         return meta
 
@@ -262,9 +263,8 @@ def write_files(texts: Sequence[tuple[str | Path, str]]) -> None:
 def write_bench_csv(result: BenchResult, path: str | Path) -> None:
     """Write the CSV table plus a JSON metadata sidecar (<path>.meta.json),
     both or neither."""
-    path = Path(path)
     write_files([
         (path, "\n".join(result.csv_rows()) + "\n"),
-        (path.with_suffix(path.suffix + ".meta.json"),
+        (f"{path}.meta.json",
          json.dumps(result.metadata(), indent=2, sort_keys=True) + "\n"),
     ])

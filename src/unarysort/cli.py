@@ -78,8 +78,8 @@ def _write_or_print(
 ) -> None:
     """Write ``text`` to ``output`` (stdout if none) and each (path, text)
     of ``others``; no file is written unless every file write succeeds."""
-    write_files([*others, (output, text)] if output else others)
-    if not output:
+    write_files([*others, (output, text)] if output is not None else others)
+    if output is None:
         sys.stdout.write(text)
 
 
@@ -95,7 +95,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sort(args) -> int:
-    if args.trace and args.arch == "batcher":
+    if args.trace is not None and args.arch == "batcher":
         raise ValueError("--trace requires an iterative engine (min or max)")
     values = _read_values(args.input)
     traces = []
@@ -104,7 +104,7 @@ def cmd_sort(args) -> int:
     else:
         engine = ENGINES[args.arch](values, args.m)
         outputs = engine.run()
-        if args.trace:
+        if args.trace is not None:
             traces.append((args.trace, "\n".join(engine.trace.csv_rows()) + "\n"))
     _write_or_print(",".join(str(v) for v in outputs) + "\n", args.output, traces)
     if args.check:
@@ -117,7 +117,7 @@ def cmd_sort(args) -> int:
 def cmd_bench(args) -> int:
     cfg = BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
     result = run_bench(cfg, check=args.check)
-    if args.output:
+    if args.output is not None:
         write_bench_csv(result, args.output)
     else:
         print("\n".join(result.csv_rows()))

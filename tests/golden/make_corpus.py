@@ -188,6 +188,13 @@ CASES = [
     ("generate_arabic_indic", ["generate", "\u0663"]),
     ("generate_not_a_number", ["generate", "not-a-number"]),
     ("bench_input_without_file_dist", ["bench", "--input", "example.csv", "--trials", "2"]),
+    # an empty path names the working directory: refused, never read as "no path"
+    ("sort_empty_output_path", ["sort", "--input", "example.csv", "--m", "3", "--output", ""]),
+    ("sort_empty_trace_path", ["sort", "--input", "example.csv", "--m", "3", "--trace", ""]),
+    ("cost_empty_output_path", ["cost", "--output", ""]),
+    ("bench_empty_output_path", ["bench", "--trials", "2", "--output", ""]),
+    ("bench_empty_input_path", ["bench", "--input", "", "--trials", "2"]),
+    ("bench_file_empty_input_path", ["bench", "--dist", "file", "--input", ""]),
     *[(f"bench_{stem}", ["bench", "--dist", "file", "--input", f"{stem}.csv", "--m", "3"])
       for stem in ("bad_row", "unequal_rows", "short_row", "one_value_rows")],
     *[(f"bench_{arch}_unrepresentable", ["bench", "--dist", "file", "--input",

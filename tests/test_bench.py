@@ -157,10 +157,6 @@ class TestAggregates:
 
 
 class TestOutput:
-    def test_deterministic_csv(self):
-        cfg = BenchConfig(n=8, m=5, mu=16, sigma=4, trials=100, seed=77)
-        assert run_bench(cfg).csv_rows() == run_bench(cfg).csv_rows()
-
     def test_csv_and_sidecar(self, tmp_path):
         cfg = BenchConfig(n=4, m=4, trials=10, seed=1, mu=8, sigma=2)
         out = tmp_path / "bench.csv"
@@ -173,7 +169,8 @@ class TestOutput:
         assert "rng" in meta and "version" in meta
 
     def test_sidecar_records_only_what_shaped_the_run(self, tmp_path):
-        # a file run samples nothing, and only a gaussian run reads mu and sigma
+        # a file run samples nothing, a sampled run reads no file, and only a
+        # gaussian run reads mu and sigma
         path = tmp_path / "vectors.csv"
         path.write_text("4,6,4,0\n1,1,2,3\n")
         runs = {"file": BenchConfig(dist="file", input_path=str(path), m=3),
@@ -184,7 +181,7 @@ class TestOutput:
                                    for name in runs)
         assert not {"rng", "seed", "mu", "sigma"} & file_meta.keys()
         assert file_meta["input_path"] == str(path) and file_meta["trials"] == 2
-        assert not {"mu", "sigma"} & uniform_meta.keys()
+        assert not {"mu", "sigma", "input_path"} & uniform_meta.keys()
         assert uniform_meta["seed"] == 1 and "rng" in uniform_meta
 
     def test_file_distribution(self, tmp_path):

@@ -13,9 +13,9 @@ from half way and, where asked, from every tick count to end where the ticks
 end.  ``run()`` may differ only in leaving quiet search cycles unlogged, as
 gaps, and in logging each tie group's writes as one record.  Here both run
 on every vector with N in {2, 3, 4} and m in {1, 2, 3} and on seeded wide
-vectors with few distinct values.  :func:`check_seeded` runs
-:func:`check_run` on both engines for each vector of a seeded draw of up to
-eight inputs; the other modules call these on their own.
+vectors with few distinct values.  ``test_sorters.py`` runs
+:func:`check_run` on each engine over seeded draws of up to eight inputs, and
+``test_mutants.py`` and ``test_properties.py`` call both checks on their own.
 :class:`InterleavedReads` clocks and reads an engine in any order and
 requires the tick-only result.
 """
@@ -185,23 +185,6 @@ TIE_HEAVY_VECTORS = [
     for width in (1, 2, 3, 4)
     for _ in range(50)
 ]
-
-
-def seeded_vectors(seed: int, count: int, n, width):
-    """``count`` vectors drawn by ``random.Random(seed)``: N if ``n`` is a
-    range, then the width if ``width`` is one, then N words of that width."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        size, m = (rng.randrange(r.start, r.stop) if isinstance(r, range) else r
-                   for r in (n, width))
-        yield [rng.randrange(1 << m) for _ in range(size)], m
-
-
-def check_seeded(seed: int, count: int, n, width) -> None:
-    """:func:`check_run` on both engines for every vector of the draw."""
-    for values, m in seeded_vectors(seed, count, n, width):
-        check_run(MinSortEngine, values, m)
-        check_run(MaxSortEngine, values, m)
 
 
 # on the vectors that resume after every number of ticks, run() finishes

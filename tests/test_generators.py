@@ -44,21 +44,11 @@ class TestFsmUnit:
             bits = [unit.step() for _ in range(16)]
             assert [(a, b) for a, b in zip(bits, bits[1:]) if a != b] == [(1, 0)]
 
-    def test_deterministic(self):
-        a = [FsmGenerator(5, 3).step() for _ in range(1)]
-        b = [FsmGenerator(5, 3).step() for _ in range(1)]
-        assert a == b
-
 
 class TestFsmGenerate:
     def test_worked_values(self):
         assert fsm_generate(4, 3).bits == (1, 1, 1, 1, 0, 0, 0, 0)
         assert fsm_generate(6, 3).bits == (1, 1, 1, 1, 1, 1, 0, 0)
-
-    def test_matches_oracle_exhaustive(self):
-        for m in range(1, 7):
-            for v in range(1 << m):
-                assert fsm_generate(v, m) == encode_right_aligned(v, m)
 
     def test_matches_oracle_wide_words(self):
         # widths 11 and 12 sampled; up to width 10 is swept exhaustively
