@@ -230,30 +230,33 @@ def write_files(texts: Sequence[tuple[str | Path, str]]) -> None:
 
     Each text goes to a temporary file in its target's directory first; the
     temporary files replace their targets only once every write succeeded,
-    so a failed command leaves no partial output behind.
+    so a failed command leaves no partial output behind.  A symlink is
+    followed: the file it names is replaced and the link stays.
     """
     # refuse bad targets before writing anything: os.replace onto a
-    # directory fails only after the targets before it were replaced, and
-    # two spellings of one file would share a temporary file
-    seen: dict[Path, str | Path] = {}
+    # directory fails only after the targets before it were replaced, two
+    # spellings of one file would share a temporary file, and a FIFO or a
+    # device replaced by a file would never reach its reader
+    targets: dict[Path, str | Path] = {}  # resolved target -> path as given, in order
     for path, _ in texts:
         target = Path(path).resolve()
-        if target in seen:
-            raise ValueError(f"cannot write {path}: {seen[target]} names the same file")
+        if target in targets:
+            raise ValueError(f"cannot write {path}: {targets[target]} names the same file")
         if target.is_dir():
             raise IsADirectoryError(f"cannot write {path}: is a directory")
-        seen[target] = path
+        if target.exists() and not target.is_file():
+            raise ValueError(f"cannot write {path}: not a regular file")
+        targets[target] = path
     temps: list[Path] = []
     try:
-        for path, text in texts:
-            target = Path(path)
+        for target, (path, text) in zip(targets, texts):
             temps.append(target.with_name(f".{target.name}.{os.getpid()}.tmp"))
             try:
                 temps[-1].write_text(text, encoding="utf-8")
             except OSError as exc:  # name the target, not the temporary file
                 raise OSError(f"cannot write {path}: {exc.strerror}") from exc
-        for temp, (path, _) in zip(temps, texts):
-            os.replace(temp, path)
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
     except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)

@@ -47,6 +47,12 @@ DECIMAL = re.compile(r"[ \t]*-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?[ \t]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e3" or "-5." after a space as an option, not a
+        # value; a "-" then a digit, or "-." then a digit, is a number here
+        self._negative_number_matcher = re.compile(r"-\.?[0-9]")
+
     # argparse prints usage and exits with status 2 on a bad argument; this
     # harness reserves 2 for oracle mismatches, and main reports every
     # refusal as one line with status 1

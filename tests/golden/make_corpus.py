@@ -144,6 +144,9 @@ CASES = [
       for command, argv in READERS.items() for stem in ("plain", "bom", "later_bom")],
     ("bench_stdout", ["bench", "--n", "4", "--m", "4", "--mu", "8", "--sigma", "2",
                       "--trials", "20", "--seed", "3"]),
+    # a negative decimal after a space is a value, not an option
+    ("bench_mu_negative_exponent", ["bench", "--trials", "3", "--n", "4", "--m", "4",
+                                    "--mu", "-1e1", "--check"]),
     ("cost_default_grid", ["cost", "--n", "8,16,32,64,128,256", "--m", "8,16,32"]),  # cost's stdout
     ("cost_8_8", ["cost", "--n", "8", "--m", "8"]),
     *[(f"{command}_{name}", [*argv, path]) for command, argv in READERS.items()
@@ -185,6 +188,7 @@ CASES = [
       for flag, name, value in (("mu", "nan", "nan"), ("mu", "inf", "inf"),
                                 ("mu", "arabic_indic", "\u0663"), ("sigma", "negative", "-1"),
                                 ("seed", "negative", "-3"))],
+    ("bench_sigma_negative_exponent", ["bench", "--trials", "3", "--n", "4", "--sigma", "-1e1"]),
     ("generate_arabic_indic", ["generate", "\u0663"]),
     ("generate_not_a_number", ["generate", "not-a-number"]),
     ("bench_input_without_file_dist", ["bench", "--input", "example.csv", "--trials", "2"]),

@@ -82,44 +82,19 @@ def one_block(low: int, high: int) -> CasNetwork:
 
 
 class TestCasApply:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [(0, 0, (0, 0)), (0, 1, (0, 1)), (1, 0, (0, 1)), (1, 1, (1, 1))],
-    )
-    def test_ascending_truth_table(self, a, b, expected):
-        assert evaluate(one_block(0, 1), [a, b]) == list(expected)
-
-    def test_descending_swaps(self):
-        # low > high: the AND lands on lane 1 and the OR on lane 0
-        assert evaluate(one_block(1, 0), [1, 0]) == [1, 0]
-        assert evaluate(one_block(1, 0), [0, 1]) == [1, 0]
-
-    def test_streams_split_to_min_and_max(self):
-        a = encode_right_aligned(4, 3)
-        b = encode_right_aligned(6, 3)
-        low = tuple(x & y for x, y in zip(a.bits, b.bits))
-        high = tuple(x | y for x, y in zip(a.bits, b.bits))
-        assert sum(low) == 4 and sum(high) == 6
-
-    def test_and_or_min_max_exhaustive(self):
-        # lane-wise AND/OR keeps streams right-aligned and splits min/max
+    @pytest.mark.parametrize("low,high", [(0, 1), (1, 0)], ids=["ascending", "descending"])
+    def test_min_on_low_max_on_high_exhaustive(self, low, high):
+        # lane-wise AND/OR keeps streams right-aligned and splits min/max;
+        # at width 1 the lanes are single bits, so this is the truth table
         for m in range(1, 7):
-            streams = [encode_right_aligned(v, m).bits for v in range(1 << m)]
+            lanes = [encode_right_aligned(v, m).lane for v in range(1 << m)]
             for va, vb in itertools.product(range(1 << m), repeat=2):
-                a, b = streams[va], streams[vb]
-                low = tuple(x & y for x, y in zip(a, b))
-                high = tuple(x | y for x, y in zip(a, b))
-                assert sum(low) == min(va, vb)
-                assert sum(high) == max(va, vb)
+                out = evaluate(one_block(low, high), [lanes[va], lanes[vb]])
+                assert out[low] == lanes[min(va, vb)]
+                assert out[high] == lanes[max(va, vb)]
 
 
 class TestBatcherSort:
-    def test_mixed_vector(self):
-        assert batcher_sort([4, 6, 4, 0, 7, 1, 2, 2], 3) == [0, 1, 2, 2, 4, 4, 6, 7]
-
-    def test_all_equal_unchanged(self):
-        assert batcher_sort([5] * 8, 3) == [5] * 8
-
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             batcher_sort([1, 2, 3], 2)
@@ -133,12 +108,6 @@ class TestBatcherSort:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             batcher_sort([1, 8], 3)
-
-    def test_zero_one_principle(self):
-        # sorting every 0/1 vector proves the network sorts everything
-        for n in (4, 8):
-            for bits in itertools.product((0, 1), repeat=n):
-                assert batcher_sort(list(bits), 1) == sorted(bits)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_zero_one_proof_bitsliced(self, n):
@@ -171,12 +140,6 @@ class TestBatcherSort:
         for module in (batcher, bitstream):
             monkeypatch.setattr(module, "encode_right_aligned", refuse, raising=False)
         assert batcher_sort([(1 << 32) - 1, 1, 0, 1], 32) == [0, 1, 1, (1 << 32) - 1]
-
-    def test_serial_equals_batch(self):
-        rng = random.Random(23)
-        for _ in range(50):
-            values = [rng.randrange(64) for _ in range(8)]
-            assert batcher_sort(values, 6) == batcher_sort_batch(values, 6)
 
     def test_batch_refuses_a_width_past_its_cap(self, monkeypatch):
         # a lane holds 2**width bits: refused before any lane is built

@@ -9,7 +9,7 @@ import pytest
 
 from unarysort.bench import BenchConfig
 from unarysort.cost import Architecture, resources
-from unarysort.generators import FsmGenerator
+from unarysort.generators import FsmGenerator, counter_generate, fsm_generate
 from unarysort.max_sorter import MaxSortEngine, sort_descending
 from unarysort.min_sorter import MinSortEngine, sort_ascending
 from unarysort.bitstream import (
@@ -24,11 +24,6 @@ from unarysort.bitstream import (
 
 
 class TestBinaryValue:
-    @pytest.mark.parametrize("value,width", [(-1, 3), (8, 3), (1, 0), (1, 33)])
-    def test_rejects_out_of_range(self, value, width):
-        with pytest.raises(ValueError):
-            BinaryValue(value, width)
-
     def test_bounds_accepted(self):
         BinaryValue(0, 1)
         BinaryValue((1 << 32) - 1, 32)
@@ -46,11 +41,12 @@ class TestBinaryValue:
     (1, 2.5, "width must be in 1..32, got 2.5"),
 ])
 @pytest.mark.parametrize("make", [
-    check_word, BinaryValue, FsmGenerator, encode_right_aligned,
+    check_word, BinaryValue, FsmGenerator, fsm_generate, counter_generate,
+    encode_right_aligned,
     lambda value, width: MinSortEngine([0, value], width),
     lambda value, width: MaxSortEngine([0, value], width),
-], ids=["check_word", "BinaryValue", "FsmGenerator", "encode_right_aligned",
-        "MinSortEngine", "MaxSortEngine"])
+], ids=["check_word", "BinaryValue", "FsmGenerator", "fsm_generate", "counter_generate",
+        "encode_right_aligned", "MinSortEngine", "MaxSortEngine"])
 def test_one_word_rule(make, value, width, message):
     with pytest.raises(ValueError) as caught:
         make(value, width)
@@ -102,43 +98,22 @@ def test_an_engine_takes_integer_words_only(engine_cls, sort, expected):
 
 
 class TestEncode:
-    def test_half_scale(self):
-        # written form 00001111: four ones emitted first
-        s = encode_right_aligned(4, 3)
-        assert s.bits == (1, 1, 1, 1, 0, 0, 0, 0)
-        assert written_str(s) == "00001111"
-
-    def test_three_quarters(self):
-        assert written_str(encode_right_aligned(6, 3)) == "00111111"
-
-    def test_zero(self):
-        assert encode_right_aligned(0, 3).bits == (0,) * 8
-
-    def test_length_is_power_of_two(self):
-        for m in range(1, 8):
-            assert len(encode_right_aligned(1, m)) == 1 << m
+    def test_every_word_is_ones_then_zeros(self):
+        # right-aligned: the value's ones are emitted first, in 2**m cycles
+        for m in range(1, 9):
+            for v in range(1 << m):
+                assert encode_right_aligned(v, m).bits == (1,) * v + (0,) * ((1 << m) - v)
 
 
 class TestDecode:
-    def test_popcount(self):
-        assert decode(UnaryStream((1, 1, 1, 1, 0, 0, 0, 0))) == BinaryValue(4, 3)
-
     def test_all_ones_not_representable(self):
         with pytest.raises(ValueError, match="not representable"):
             decode(UnaryStream((1,) * 8))
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            decode(UnaryStream(()))
-
-    @pytest.mark.parametrize("length", [1, 3, 6, 12])
+    @pytest.mark.parametrize("length", [0, 1, 3, 6, 12])
     def test_non_power_of_two_rejected(self, length):
         with pytest.raises(ValueError):
             decode(UnaryStream((0,) * length))
-
-    def test_order_independent(self):
-        # decode only counts ones; the counter generator relies on this
-        assert decode(UnaryStream((0, 0, 0, 0, 1, 1, 1, 1))).value == 4
 
 
 def every_bit_tuple(max_length):
@@ -155,14 +130,6 @@ class TestPackedLane:
                 assert all(type(b) is int for b in stream.bits)
                 assert len(stream) == stream.length == len(bits)
                 assert stream.popcount == sum(bits)
-
-    def test_bits_round_trip_random(self):
-        # lanes longer than a machine word
-        rng = random.Random(5)
-        for length in range(71):
-            bits = tuple(rng.getrandbits(1) for _ in range(length))
-            for kind in (int, bool):
-                assert UnaryStream(tuple(map(kind, bits))).bits == bits
 
     def test_lane_bit_t_is_cycle_t_plus_one(self):
         assert UnaryStream((1, 0, 0, 1, 1)).lane == 0b11001
@@ -187,6 +154,9 @@ class TestPackedLane:
         assert UnaryStream((np.int64(1), np.True_, False)).bits == (1, 1, 0)
         with pytest.raises(TypeError):
             UnaryStream(([1], 0))
+        for bits in ((0, 2, 1), (1, -1), (2,), (-1,)):
+            with pytest.raises(ValueError):
+                UnaryStream(bits)
 
     def test_strings_equal_per_bit_joins(self):
         for bits in every_bit_tuple(8):
@@ -196,28 +166,10 @@ class TestPackedLane:
         assert emission_str(UnaryStream(())) == written_str(UnaryStream(())) == ""
 
 
-class TestDisplay:
-    def test_written_is_reverse_of_emission(self):
-        s = encode_right_aligned(3, 3)
-        assert emission_str(s) == "11100000"
-        assert written_str(s) == emission_str(s)[::-1]
-
-    def test_bad_bits_rejected(self):
-        for bits in ((0, 2, 1), (1, -1), (2,), (-1,)):
-            with pytest.raises(ValueError):
-                UnaryStream(bits)
-        assert UnaryStream((True, False, 0, 1)).popcount == 2
-
-
 class TestRoundTrip:
     def test_exhaustive_round_trip(self):
-        # every representable value survives encode/decode, widths 1..12
+        # every representable word, value and width, survives encode/decode,
+        # widths 1..12
         for m in range(1, 13):
             for v in range(1 << m):
-                s = encode_right_aligned(v, m)
-                assert decode(s).value == v
-
-    def test_encode_injective(self):
-        for m in range(1, 9):
-            streams = {encode_right_aligned(v, m).bits for v in range(1 << m)}
-            assert len(streams) == 1 << m
+                assert decode(encode_right_aligned(v, m)) == BinaryValue(v, m)

@@ -142,7 +142,8 @@ class TestArguments:
         assert run([field if arg is None else arg for arg in argv]) == 1
         assert capsys.readouterr() == ("", f"error: argument {name}: not a number: {field!r}\n")
 
-    @pytest.mark.parametrize("field", ["12.5", "-3", "4e9", "0", " 5. ", "\t.5E-1", "1e400"])
+    @pytest.mark.parametrize("field", ["12.5", "-3", "4e9", "0", " 5. ", "\t.5E-1", "1e400",
+                                       "-1e3", "-5.", "-1.5E-1"])
     def test_decimal_grammar_accepts(self, field):
         assert cli.PARSER.parse_args(["bench", "--mu", field]).mu == float(field)
 
@@ -257,6 +258,30 @@ class TestSort:
         assert out.read_text() == "4,4,6\n"
         assert len(trace.read_text().splitlines()) == 11
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv", "trace.csv"]
+
+    def test_output_through_a_symlink_replaces_its_target(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("4,6,4\n")
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "out.csv", tmp_path / "link.csv"
+        target.write_text("stale\n")
+        link.symlink_to(target)
+        assert run(["sort", "--input", str(path), "--m", "3", "--output", str(link)]) == 0
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_text() == "4,4,6\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "in.csv", "link.csv",
+                                                               "out.csv"]
+
+    def test_output_refuses_a_fifo(self, tmp_path, capsys):
+        # replaced by a file, a FIFO would never reach its reader
+        path = tmp_path / "in.csv"
+        path.write_text("4,6,4\n")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        assert run(["sort", "--input", str(path), "--m", "3", "--output", str(pipe)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {pipe}: not a regular file\n"
+        assert pipe.is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "pipe"]
 
 
 class TestBench:
