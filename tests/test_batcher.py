@@ -81,17 +81,38 @@ def one_block(low: int, high: int) -> CasNetwork:
     return CasNetwork(n_inputs=2, stages=(((low, high),),))
 
 
+def check_min_on_low_max_on_high(low, high):
+    # lane-wise AND/OR keeps streams right-aligned and splits min/max: every
+    # pair of right-aligned lanes at widths 1..6, through the kernel
+    for m in range(1, 7):
+        lanes = [encode_right_aligned(v, m).lane for v in range(1 << m)]
+        for va, vb in itertools.product(range(1 << m), repeat=2):
+            out = evaluate(one_block(low, high), [lanes[va], lanes[vb]])
+            assert out[low] == lanes[min(va, vb)]
+            assert out[high] == lanes[max(va, vb)]
+
+
 class TestCasApply:
-    @pytest.mark.parametrize("low,high", [(0, 1), (1, 0)], ids=["ascending", "descending"])
-    def test_min_on_low_max_on_high_exhaustive(self, low, high):
-        # lane-wise AND/OR keeps streams right-aligned and splits min/max;
-        # at width 1 the lanes are single bits, so this is the truth table
-        for m in range(1, 7):
-            lanes = [encode_right_aligned(v, m).lane for v in range(1 << m)]
-            for va, vb in itertools.product(range(1 << m), repeat=2):
-                out = evaluate(one_block(low, high), [lanes[va], lanes[vb]])
-                assert out[low] == lanes[min(va, vb)]
-                assert out[high] == lanes[max(va, vb)]
+    @pytest.mark.parametrize(
+        "a,b,expected",
+        [(0, 0, (0, 0)), (0, 1, (0, 1)), (1, 0, (0, 1)), (1, 1, (1, 1))],
+    )
+    def test_ascending_truth_table(self, a, b, expected):
+        assert evaluate(one_block(0, 1), [a, b]) == list(expected)
+
+    def test_descending_swaps(self):
+        # low > high: the AND lands on lane 1 and the OR on lane 0
+        check_min_on_low_max_on_high(1, 0)
+
+    def test_streams_split_to_min_and_max(self):
+        a = encode_right_aligned(4, 3)
+        b = encode_right_aligned(6, 3)
+        low = tuple(x & y for x, y in zip(a.bits, b.bits))
+        high = tuple(x | y for x, y in zip(a.bits, b.bits))
+        assert sum(low) == 4 and sum(high) == 6
+
+    def test_and_or_min_max_exhaustive(self):
+        check_min_on_low_max_on_high(0, 1)
 
 
 class TestBatcherSort:

@@ -98,8 +98,20 @@ def test_an_engine_takes_integer_words_only(engine_cls, sort, expected):
 
 
 class TestEncode:
-    def test_every_word_is_ones_then_zeros(self):
-        # right-aligned: the value's ones are emitted first, in 2**m cycles
+    def test_half_scale(self):
+        # written form 00001111: four ones emitted first
+        s = encode_right_aligned(4, 3)
+        assert s.bits == (1, 1, 1, 1, 0, 0, 0, 0)
+        assert written_str(s) == "00001111"
+
+    def test_three_quarters(self):
+        assert written_str(encode_right_aligned(6, 3)) == "00111111"
+
+    def test_zero(self):
+        assert encode_right_aligned(0, 3).bits == (0,) * 8
+
+    def test_length_is_power_of_two(self):
+        # every word is 2**m cycles long, right-aligned: its ones emitted first
         for m in range(1, 9):
             for v in range(1 << m):
                 assert encode_right_aligned(v, m).bits == (1,) * v + (0,) * ((1 << m) - v)
@@ -114,6 +126,14 @@ class TestDecode:
     def test_non_power_of_two_rejected(self, length):
         with pytest.raises(ValueError):
             decode(UnaryStream((0,) * length))
+
+    def test_order_independent(self):
+        # decode only counts ones, wherever they sit; the counter generator
+        # relies on this
+        for bits in every_bit_tuple(8):
+            if len(bits) in (2, 4, 8) and sum(bits) < len(bits):
+                width = len(bits).bit_length() - 1
+                assert decode(UnaryStream(bits)) == BinaryValue(sum(bits), width)
 
 
 def every_bit_tuple(max_length):
@@ -154,9 +174,6 @@ class TestPackedLane:
         assert UnaryStream((np.int64(1), np.True_, False)).bits == (1, 1, 0)
         with pytest.raises(TypeError):
             UnaryStream(([1], 0))
-        for bits in ((0, 2, 1), (1, -1), (2,), (-1,)):
-            with pytest.raises(ValueError):
-                UnaryStream(bits)
 
     def test_strings_equal_per_bit_joins(self):
         for bits in every_bit_tuple(8):
@@ -164,6 +181,14 @@ class TestPackedLane:
             assert emission_str(stream) == "".join(str(b) for b in stream.bits)
             assert written_str(stream) == "".join(str(b) for b in reversed(stream.bits))
         assert emission_str(UnaryStream(())) == written_str(UnaryStream(())) == ""
+
+
+class TestDisplay:
+    def test_bad_bits_rejected(self):
+        for bits in ((0, 2, 1), (1, -1), (2,), (-1,)):
+            with pytest.raises(ValueError):
+                UnaryStream(bits)
+        assert UnaryStream((True, False, 0, 1)).popcount == 2
 
 
 class TestRoundTrip:
