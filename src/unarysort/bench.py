@@ -17,7 +17,7 @@ import json
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -191,8 +191,7 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
                 raise ValueError(f"{cfg.input_path}: row {row} has {len(vec)} {noun}, "
                                  f"row 1 has {len(trials[0])}")
         try:  # the caps hold for a file's rows and columns too
-            cfg = BenchConfig(**{**asdict(cfg), "n": len(trials[0]),
-                                 "trials": len(trials)})
+            cfg = replace(cfg, n=len(trials[0]), trials=len(trials))
         except ValueError as exc:
             raise ValueError(f"{cfg.input_path}: {exc}") from None
     else:
@@ -231,7 +230,8 @@ def write_files(texts: Sequence[tuple[str | Path, str]]) -> None:
     Each text goes to a temporary file in its target's directory first; the
     temporary files replace their targets only once every write succeeded,
     so a failed command leaves no partial output behind.  A symlink is
-    followed: the file it names is replaced and the link stays.
+    followed: the file it names is replaced and the link stays.  A FIFO, a
+    device or a symlink loop is refused before anything is written.
     """
     # refuse bad targets before writing anything: os.replace onto a
     # directory fails only after the targets before it were replaced, two
@@ -239,12 +239,12 @@ def write_files(texts: Sequence[tuple[str | Path, str]]) -> None:
     # device replaced by a file would never reach its reader
     targets: dict[Path, str | Path] = {}  # resolved target -> path as given, in order
     for path, _ in texts:
-        target = Path(path).resolve()
+        target = Path(os.path.realpath(path))  # a loop resolves to the link itself
         if target in targets:
             raise ValueError(f"cannot write {path}: {targets[target]} names the same file")
         if target.is_dir():
             raise IsADirectoryError(f"cannot write {path}: is a directory")
-        if target.exists() and not target.is_file():
+        if os.path.lexists(target) and not target.is_file():
             raise ValueError(f"cannot write {path}: not a regular file")
         targets[target] = path
     temps: list[Path] = []

@@ -283,6 +283,18 @@ class TestSort:
         assert pipe.is_fifo()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "pipe"]
 
+    def test_output_through_a_symlink_loop_is_refused(self, tmp_path, capsys):
+        # a loop names no file to replace; some Pythons raise on resolving it
+        path = tmp_path / "in.csv"
+        path.write_text("4,6,4\n")
+        loop, out = tmp_path / "loop.csv", tmp_path / "out.csv"
+        loop.symlink_to(loop)
+        for outputs in (["--output", loop], ["--output", out, "--trace", loop]):
+            assert run(["sort", "--input", str(path), "--m", "3", *map(str, outputs)]) == 1
+            assert capsys.readouterr().err == f"error: cannot write {loop}: not a regular file\n"
+            assert loop.is_symlink() and loop.readlink() == loop
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "loop.csv"]
+
 
 class TestBench:
     def test_defaults_are_bench_configs(self):

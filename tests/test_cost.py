@@ -28,9 +28,6 @@ class TestResourceCount:
         with pytest.raises(ValueError):
             ResourceCount(registers_bits=-1)
 
-    def test_batcher_cas_blocks(self):
-        assert resources(Architecture.BATCHER, 8, 8).cas_blocks == 24
-
     def test_degenerate_config_rejected(self):
         with pytest.raises(ValueError):
             resources(Architecture.MIN_SORTER, 1, 8)
@@ -82,13 +79,6 @@ class TestWeightSet:
 
 
 class TestOrdering:
-    def test_grid_sweep_default_weights(self):
-        for n, m in GRID:
-            s_min = score(Architecture.MIN_SORTER, n, m)
-            s_max = score(Architecture.MAX_SORTER, n, m)
-            s_bat = score(Architecture.BATCHER, n, m)
-            assert s_min < s_max < s_bat, (n, m)
-
     def test_stability_under_half_weight_perturbation(self):
         # the mux-vs-adder structural gap carries any +/-50% weight swing
         # once the input count reaches 16

@@ -16,6 +16,9 @@ a file too big to read in a diff is compared by its SHA-256 line in
 names (see ``make_corpus.py``); ``SAME`` lists the files that must stay equal
 when one of them is regenerated.  A case's files carry its behaviour's name,
 so a failure names every behaviour that changed.
+
+The corpus is the check of the ``bench`` CSVs and sidecars, the ``cost``
+table and the trace CSVs; the library tests do not repeat it.
 """
 
 from pathlib import Path
