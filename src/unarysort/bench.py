@@ -28,7 +28,7 @@ from .trace import CycleTrace
 
 # the one place where an arch name becomes an engine class
 ENGINES = {"min": MinSortEngine, "max": MaxSortEngine}
-DISTS = ("gaussian", "uniform", "file")
+DISTS = ("gaussian", "uniform")
 # a run holds a trials x n matrix of int64 cycles: 78 MiB at both caps
 MAX_N = 1024           # the `network --n` cap
 MAX_TRIALS = 10_000    # ten times the default
@@ -54,15 +54,13 @@ class BenchConfig:
     sigma: float = 32.0
     trials: int = 1000
     seed: int = 1
-    input_path: str | None = None
+    input_path: str | None = None  # set: its rows are the trials, none sampled
 
     def __post_init__(self):
         if self.arch not in ENGINES:
             raise ValueError(f"bench supports arch 'min' or 'max', got {self.arch!r}")
         if self.dist not in DISTS:
             raise ValueError(f"unknown distribution {self.dist!r}")
-        if (self.dist == "file") != (self.input_path is not None):
-            raise ValueError("dist 'file' and an input path go together")
         if not is_int_in(self.n, 2, MAX_N):
             raise ValueError(f"n must be in 2..{MAX_N}, got {self.n}")
         check_width(self.m)
@@ -85,9 +83,7 @@ def sample_trial(cfg: BenchConfig, trial: int) -> list[int]:
     if cfg.dist == "gaussian":
         raw = rng.normal(cfg.mu, cfg.sigma, cfg.n)
         return np.clip(np.rint(raw), 0, top).astype(np.int64).tolist()
-    if cfg.dist == "uniform":
-        return rng.integers(0, top + 1, cfg.n).tolist()
-    raise ValueError("file trials are loaded, not sampled")
+    return rng.integers(0, top + 1, cfg.n).tolist()
 
 
 def _sampled(cfg: BenchConfig):
@@ -166,13 +162,13 @@ class BenchResult:
     def metadata(self) -> dict:
         meta = asdict(self.config)  # less the fields that did not shape the run
         meta["version"] = __version__
+        if self.config.input_path is not None:  # samples nothing
+            del meta["dist"], meta["mu"], meta["sigma"], meta["seed"]
+            return meta
+        del meta["input_path"]  # reads no file
+        meta["rng"] = "numpy default_rng (PCG64), trial i seeded with seed + i"
         if self.config.dist != "gaussian":  # the only one that reads mu and sigma
             del meta["mu"], meta["sigma"]
-        if self.config.dist == "file":  # samples nothing
-            del meta["seed"]
-        else:  # reads no file
-            del meta["input_path"]
-            meta["rng"] = "numpy default_rng (PCG64), trial i seeded with seed + i"
         return meta
 
 
@@ -181,7 +177,7 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
     against the oracle, and then its outputs against a reference sort."""
     import numpy as np
 
-    if cfg.dist == "file":
+    if cfg.input_path is not None:
         trials = load_trials(cfg.input_path)
         if len(trials[0]) < 2:  # a row is a non-blank line, so it has a value
             raise ValueError(f"{cfg.input_path}: row 1 has 1 value, need at least 2")
@@ -202,7 +198,7 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
         try:
             engine = ENGINES[cfg.arch](values, cfg.m)
         except ValueError as exc:  # the engine checks the words; name a file's row
-            if cfg.dist == "file":
+            if cfg.input_path is not None:
                 raise ValueError(f"{cfg.input_path}: row {i + 1}: {exc}") from None
             raise
         outputs = engine.run()

@@ -201,7 +201,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=_integer, help=f"trial count, 1 to {MAX_TRIALS}")
     p.add_argument("--seed", type=_integer)
     p.add_argument("--input", dest="input_path", metavar="INPUT",
-                   help="CSV of input vectors, one per row (dist=file)")
+                   help="CSV of input vectors, one trial per row; nothing is sampled")
     p.add_argument("--output", help="CSV path; a .meta.json sidecar is written too")
     p.add_argument("--check", action="store_true",
                    help="verify every trial against the sorted-sample oracle")

@@ -5,7 +5,7 @@ Usage::
     python tests/golden/make_corpus.py OUTDIR [--entry-point]
 
 Each case runs with ``OUTDIR`` as its working directory, so the paths a
-command records (the ``bench --dist file`` sidecar holds its input path)
+command records (a ``bench --input`` sidecar holds its input path)
 are the same wherever the corpus is written.  The input files are written
 first and are part of the corpus.  A case's stdout, if it prints anything,
 goes to ``<case>.stdout``, its stderr, if any, to ``<case>.stderr``, and a
@@ -91,7 +91,7 @@ INPUTS = {
 READERS = {
     "sort": ["sort", "--m", "3", "--input"],
     "compare": ["compare", "--m", "3", "--check", "--input"],
-    "bench": ["bench", "--dist", "file", "--m", "3", "--check", "--input"],
+    "bench": ["bench", "--m", "3", "--check", "--input"],
 }
 
 # (case name, argv); a name starting with "demo_" runs demos/<rest>.py
@@ -108,8 +108,8 @@ CASES = [
         "--trials", "200", "--check", "--output", f"bench_uniform_{arch}.csv"])
       for arch in ("min", "max")],
     *[(f"bench_file_{arch}",
-       ["bench", "--arch", arch, "--dist", "file", "--input", "trials.csv",
-        "--check", "--output", f"bench_file_{arch}.csv"])
+       ["bench", "--arch", arch, "--input", "trials.csv", "--check",
+        "--output", f"bench_file_{arch}.csv"])
       for arch in ("min", "max")],
     ("compare_wide32", ["compare", "--input", "wide32.csv", "--m", "11", "--check"]),
     ("cost", ["cost"]),
@@ -191,18 +191,16 @@ CASES = [
     ("bench_sigma_negative_exponent", ["bench", "--trials", "3", "--n", "4", "--sigma", "-1e1"]),
     ("generate_arabic_indic", ["generate", "\u0663"]),
     ("generate_not_a_number", ["generate", "not-a-number"]),
-    ("bench_input_without_file_dist", ["bench", "--input", "example.csv", "--trials", "2"]),
     # an empty path names the working directory: refused, never read as "no path"
     ("sort_empty_output_path", ["sort", "--input", "example.csv", "--m", "3", "--output", ""]),
     ("sort_empty_trace_path", ["sort", "--input", "example.csv", "--m", "3", "--trace", ""]),
     ("cost_empty_output_path", ["cost", "--output", ""]),
     ("bench_empty_output_path", ["bench", "--trials", "2", "--output", ""]),
     ("bench_empty_input_path", ["bench", "--input", "", "--trials", "2"]),
-    ("bench_file_empty_input_path", ["bench", "--dist", "file", "--input", ""]),
-    *[(f"bench_{stem}", ["bench", "--dist", "file", "--input", f"{stem}.csv", "--m", "3"])
+    *[(f"bench_{stem}", ["bench", "--input", f"{stem}.csv", "--m", "3"])
       for stem in ("bad_row", "unequal_rows", "short_row", "one_value_rows")],
-    *[(f"bench_{arch}_unrepresentable", ["bench", "--dist", "file", "--input",
-                                         "unrepresentable.csv", "--m", "4", "--arch", arch])
+    *[(f"bench_{arch}_unrepresentable",
+       ["bench", "--input", "unrepresentable.csv", "--m", "4", "--arch", arch])
       for arch in ("min", "max")],
     ("cost_empty_entry", ["cost", "--n", ",8"]),
     ("cost_signed_entry", ["cost", "--n", "8", "--m", "+8"]),

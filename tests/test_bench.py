@@ -25,12 +25,9 @@ class TestConfig:
             BenchConfig(arch="batcher")
 
     def test_rejects_bad_dist(self):
-        with pytest.raises(ValueError):
-            BenchConfig(dist="poisson")
-
-    def test_file_needs_path(self):
-        with pytest.raises(ValueError):
-            BenchConfig(dist="file")
+        for dist in ("poisson", "file"):  # a file run is named by its input path
+            with pytest.raises(ValueError):
+                BenchConfig(dist=dist)
 
     @pytest.mark.parametrize(
         "mu,sigma",
@@ -146,13 +143,13 @@ class TestOutput:
         # gaussian run reads mu and sigma
         path = tmp_path / "vectors.csv"
         path.write_text("4,6,4,0\n1,1,2,3\n")
-        runs = {"file": BenchConfig(dist="file", input_path=str(path), m=3),
+        runs = {"file": BenchConfig(input_path=str(path), m=3),
                 "uniform": BenchConfig(n=4, m=3, dist="uniform", trials=5)}
         for name, cfg in runs.items():
             write_bench_csv(run_bench(cfg), tmp_path / f"{name}.csv")
         file_meta, uniform_meta = (json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
                                    for name in runs)
-        assert not {"rng", "seed", "mu", "sigma"} & file_meta.keys()
+        assert not {"rng", "seed", "dist", "mu", "sigma"} & file_meta.keys()
         assert file_meta["input_path"] == str(path) and file_meta["trials"] == 2
         assert not {"mu", "sigma", "input_path"} & uniform_meta.keys()
         assert uniform_meta["seed"] == 1 and "rng" in uniform_meta
@@ -165,5 +162,5 @@ class TestOutput:
         path = tmp_path / "vectors.csv"
         path.write_text(text)
         with pytest.raises(ValueError) as caught:
-            run_bench(BenchConfig(dist="file", input_path=str(path), m=3))
+            run_bench(BenchConfig(input_path=str(path), m=3))
         assert str(caught.value) == f"{path}: {message}"

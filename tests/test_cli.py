@@ -81,7 +81,7 @@ class UnsortingEngine:
 
 class TestGenerate:
     """Each generator's stream holds ``value`` ones in ``2**m`` bits, and its
-    written stream is its emission reversed; a refusal prints one error line."""
+    written stream is its emission reversed; the corpus holds the refusals."""
 
     def streams(self, capsys, value, m):
         assert run(["generate", str(value), "--m", str(m)]) == 0
@@ -94,13 +94,6 @@ class TestGenerate:
             assert written == emission[::-1]
         return rows
 
-    def refused(self, capsys, argv):
-        assert run(["generate", *argv]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert_one_error_line(err)
-        return err
-
     def test_prints_both_generators(self, capsys):
         assert self.streams(capsys, 5, 3) == ["fsm      emission=11111000 written=00011111",
                                               "counter  emission=00011111 written=11111000"]
@@ -110,16 +103,6 @@ class TestGenerate:
 
     def test_widest_allowed(self, capsys):
         self.streams(capsys, 40000, 16)
-
-    def test_out_of_range_is_validation_error(self, capsys):
-        assert self.refused(capsys, ["9", "--m", "3"]) == (
-            "error: value 9 not representable in 3 bits\n")
-
-    def test_bad_argument_exits_one(self, capsys):
-        assert "value" in self.refused(capsys, ["not-a-number"])
-
-    def test_too_wide_exits_one_and_prints_nothing(self, capsys):
-        assert "--m" in self.refused(capsys, ["5", "--m", "17"])
 
 
 class TestArguments:
@@ -349,7 +332,7 @@ class TestBench:
     def test_non_utf8_input_names_file(self, tmp_path, capsys):
         path = tmp_path / "vectors.csv"
         path.write_bytes(b"1,2\n\xff,3\n")
-        assert run(["bench", "--dist", "file", "--input", str(path), "--m", "3"]) == 1
+        assert run(["bench", "--input", str(path), "--m", "3"]) == 1
         assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 text\n")
 
 
@@ -406,12 +389,6 @@ class TestNetwork:
                     lane[i], lane[j] = (low, high) if order == "asc" else (high, low)
             assert lane == sorted(lane), word
 
-    def test_too_large_exits_one_and_prints_nothing(self, capsys):
-        assert run(["network", "--n", "1025"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: --n must be at most 1024, got 1025\n"
-
     def test_largest_allowed(self, capsys):
         # not in the corpus: its 400 kB dump would add a SHA256SUMS line
         assert run(["network", "--n", str(cli.MAX_NETWORK_INPUTS)]) == 0
@@ -421,12 +398,6 @@ class TestNetwork:
 class TestNumpyIsLoadedByBenchAlone:
     """numpy is a dependency of ``bench`` alone: every other command, and the
     import of the package, runs in an interpreter that cannot load it."""
-
-    def test_importing_the_package_leaves_numpy_unloaded(self):
-        done = fresh_python(["-c", (
-            "import sys, unarysort, unarysort.bench, unarysort.cli\n"
-            "print('numpy' in sys.modules)")])
-        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     def test_every_other_command_runs_with_numpy_blocked(self, tmp_path):
         (tmp_path / "in.csv").write_text("4,6,4,0\n")
@@ -503,11 +474,11 @@ def input_files(draw):
     values = [v for row, text in zip(rows, texts) if text.strip() for _, v in row]
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     data = newline.join(texts).encode() + draw(st.sampled_from([b"", newline.encode()]))
-    if flaw == "bom":
+    if flaw == "bom":  # dropped on reading, so the file stays valid
         data = b"\xef\xbb\xbf" + data
     if flaw == "non-utf8":
         data += b"\xff"
-    if flaw in ("bom", "non-utf8") or not values or None in values:
+    if flaw == "non-utf8" or not values or None in values:
         values = None
     return data, values
 
@@ -548,11 +519,8 @@ def invocations(draw):
         add("--n", st.integers(2, 5).map(str), REFUSED | st.sampled_from(["0", "1", "1025"]))
         add("--m", WIDTHS)
         add("--arch", st.sampled_from(["min", "max"]), st.just("bogus"))
-        if draw(st.booleans()):
-            add("--dist", st.just("file"), st.just("gaussian"), optional=False)
-            add("--input", INPUTS, st.just("missing.csv"), optional=False)
-        else:
-            add("--dist", st.sampled_from(["gaussian", "uniform"]), st.just("file"))
+        add("--dist", st.sampled_from(["gaussian", "uniform"]), st.just("file"))
+        add("--input", INPUTS, st.just("missing.csv"))
         add("--mu", st.sampled_from(["8", "128", "1e300"]),
             st.sampled_from(["nan", "inf", "\u0663", "1_0"]))
         add("--sigma", st.sampled_from(["2", "0"]), st.sampled_from(["-1", "nan", "\u0663", "1_0"]))

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unarysort.batcher import batcher_sort, batcher_sort_batch
-from unarysort.bench import load_trials, parse_ints
+from unarysort.bench import load_trials
 from unarysort.max_sorter import MaxSortEngine
 from unarysort.min_sorter import MinSortEngine
 
@@ -104,12 +104,6 @@ def test_spans_equal_per_cycle(vector):
 
 ROWS = st.lists(st.lists(st.integers(0, 10**12), min_size=1, max_size=8),
                 min_size=1, max_size=8)
-
-
-@given(ROWS)
-def test_parse_ints_round_trip(rows):
-    for row in rows:
-        assert parse_ints(",".join(map(str, row)), "row") == row
 
 
 @given(ROWS)
