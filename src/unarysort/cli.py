@@ -104,19 +104,18 @@ def cmd_sort(args) -> int:
     if args.trace is not None and args.arch == "batcher":
         raise ValueError("--trace requires an iterative engine (min or max)")
     values = _read_values(args.input)
-    traces = []
     if args.arch == "batcher":
         outputs = batcher_sort(values, args.m)
     else:
         engine = ENGINES[args.arch](values, args.m)
         outputs = engine.run()
-        if args.trace is not None:
-            traces.append((args.trace, "\n".join(engine.trace.csv_rows()) + "\n"))
-    _write_or_print(",".join(str(v) for v in outputs) + "\n", args.output, traces)
     if args.check:
         expected = sorted(values, reverse=(args.arch == "max"))
         if outputs != expected:
             raise OracleMismatch(f"{outputs} != {expected}")
+    traces = () if args.trace is None else [
+        (args.trace, "\n".join(engine.trace.csv_rows()) + "\n")]
+    _write_or_print(",".join(str(v) for v in outputs) + "\n", args.output, traces)
     return EXIT_OK
 
 

@@ -197,11 +197,16 @@ class TestSort:
         assert self.sorts(tmp_path, capsys, "batcher", values, 3) == sorted(values)
 
     def test_check_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
+        # the check comes before any output: a failed one prints and writes nothing
         monkeypatch.setitem(bench.ENGINES, "min", UnsortingEngine)
         path = tmp_path / "in.csv"
         path.write_text("3,1,2\n")
-        assert run(["sort", "--input", str(path), "--m", "2", "--check"]) == 2
-        assert capsys.readouterr().err == "check failed: [3, 1, 2] != [1, 2, 3]\n"
+        argv = ["sort", "--input", str(path), "--m", "2", "--check"]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "check failed: [3, 1, 2] != [1, 2, 3]\n")
+        assert run([*argv, "--output", str(tmp_path / "out.csv"),
+                    "--trace", str(tmp_path / "trace.csv")]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
     def test_non_utf8_input_names_file(self, tmp_path, capsys):
         path = tmp_path / "in.csv"

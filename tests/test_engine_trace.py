@@ -8,14 +8,16 @@ plus the writes before it, then one DRAIN record of the group's writes.  It
 costs O(N log N), so it runs at any width the search budget admits.
 
 :func:`check_against_ticks` ticks a vector once through ``tick()``, the
-reference model, checking every tick, then requires ``run()`` from cycle 0,
-from half way and, where asked, from every tick count to end where the ticks
-end.  ``run()`` may differ only in leaving quiet search cycles unlogged, as
-gaps, and in logging each tie group's writes as one record.  Here both run
-on every vector with N in {2, 3, 4} and m in {1, 2, 3} and on seeded wide
-vectors with few distinct values.  ``test_sorters.py`` runs
-:func:`check_run` on each engine over seeded draws of up to eight inputs, and
-``test_mutants.py`` and ``test_properties.py`` call both checks on their own.
+reference model, checking every tick and its unit evaluations, then requires
+``run()`` from cycle 0, from half way and, where asked, from every tick count
+to end where the ticks end.  ``run()`` is checked by what it produces alone:
+it may differ only in leaving quiet search cycles unlogged, as gaps, and in
+logging each tie group's writes as one record.  How many units ``run()``
+evaluates is pinned by ``perfbench/run.py --self-test``
+(``test_perfbench.py``), not here.  Here both checks run on every vector with
+N in {2, 3, 4} and m in {1, 2, 3} and on seeded wide vectors with few
+distinct values; ``test_mutants.py`` and ``test_properties.py`` call them on
+their own.
 :class:`InterleavedReads` clocks and reads an engine in any order and
 requires the tick-only result.
 """
@@ -102,25 +104,12 @@ def counting(engine_cls):
         FsmGenerator.step, max_sorter.max_bit, engine_cls._fire = step, bit, fire
 
 
-def assert_clock_rule(engine, context):
-    """Each record's cycle follows from the records alone: a SEARCH record's
-    is its generation cycle plus the writes logged before it, and a DRAIN
-    record's is its generation cycle plus its first address, plus one; the
-    engine's clock ends on the trace's last cycle."""
-    written = 0
-    for r in engine.trace.records:
-        if r.writes:
-            assert r.cycle == r.elapsed + r.writes[0][0] + 1, (context, r)
-            written += len(r.writes)
-        else:
-            assert r.cycle == r.elapsed + written, (context, r)
-    assert engine.done and engine.cycle == engine.trace.total_cycles(), context
-
-
 def check_against_ticks(engine_cls, values, width: int, resume_every: bool = False) -> None:
-    """Tick ``values`` once, checking each tick; then ``run()`` from cycle 0
-    (through :func:`check_run`), from half way through the ticks and, if
-    ``resume_every``, after every number of ticks: each ends where the ticks end."""
+    """Tick ``values`` once, checking each tick, its unit evaluations among
+    them; then ``run()`` from cycle 0 (through :func:`check_run`), from half
+    way through the ticks and, if ``resume_every``, after every number of
+    ticks: each returns the ticks' outputs and logs their trace, and its clock
+    ends where the ticks end."""
     context = (engine_cls.arch, values, width)
     detect_at = detection_cycles(engine_cls.arch, values, width)
     evaluations = sum(detect_at)  # each unit once per search cycle up to its detection
@@ -142,12 +131,10 @@ def check_against_ticks(engine_cls, values, width: int, resume_every: bool = Fal
             assert reference.in_play == undetected, (*context, reference.cycle)
             assert calls[0] == evaluated, (*context, reference.cycle)
         assert calls[0] == evaluations, context
-        assert_clock_rule(reference, ("ticks", *context))
         trace = reference.trace
         rows, detections, events = trace.csv_rows(), bench.detection_cycles(trace), trace.events
         cycles = reference.cycle
         for ticks in range(cycles + 1) if resume_every else (0, cycles // 2):
-            calls[0] = 0
             if ticks:
                 engine = engine_cls(values, width)
                 for _ in range(ticks):
@@ -162,10 +149,8 @@ def check_against_ticks(engine_cls, values, width: int, resume_every: bool = Fal
             # is a new list built from the records on each read and edits nothing
             assert outputs == reference.outputs, run_context
             assert trace.csv_rows() == rows, run_context
-            assert trace.total_cycles() == cycles, run_context
+            assert trace.total_cycles() == engine.cycle == cycles, run_context
             assert bench.detection_cycles(trace) == detections, run_context
-            assert calls[0] == evaluations, run_context
-            assert_clock_rule(engine, run_context)
             assert trace.events == events, run_context
 
 

@@ -108,6 +108,10 @@ MUTANTS = [
     pytest.param(advance_a_gap_by_one_cycle, check_run, 3, id="gap-advances-one-cycle"),
     pytest.param(resume_ignoring_elapsed, resumed_every_tick, 3, id="resume-ignores-elapsed"),
 ]
+# the mutants make only three distinct calls, check_run at widths 3 and 20 and
+# resumed_every_tick at width 3: one unmutated run each
+UNMUTATED = [param for param in MUTANTS if param.id in (
+    "reversed-tie-indices", "resume-drops-pending-group", "off-by-one-above-width-16")]
 ENGINES = pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine],
                                   ids=["min", "max"])
 
@@ -129,7 +133,7 @@ def test_mutant_fails_the_check(engine_cls, edit, check, width, monkeypatch):
 
 
 @ENGINES
-@pytest.mark.parametrize("edit,check,width", MUTANTS)
+@pytest.mark.parametrize("edit,check,width", UNMUTATED)
 def test_unmutated_run_passes_the_check(engine_cls, edit, check, width):
     # so that each mutant fails for its edit and not for its example
     check(engine_cls, example(engine_cls, width), width)

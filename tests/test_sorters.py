@@ -1,15 +1,11 @@
 """The FSM min sorter and the comparator max sorter differ only in their unary number
 generator, so each behaviour they share is one test over ``bench.ENGINES`` (ids min/max)."""
 
-import random
-
 import pytest
 
 from unarysort.bench import ENGINES
 from unarysort.max_sorter import max_bit
 from unarysort.trace import Phase
-
-from test_engine_trace import check_against_ticks, check_run
 
 ARCHS = pytest.mark.parametrize("arch", ENGINES)
 S, D = Phase.SEARCH, Phase.DRAIN
@@ -23,19 +19,6 @@ WORKED = {
             (4, S, 3, (), ()), (5, S, 4, (0, 2), ()), (6, D, 4, (), ((1, 4),)),
             (7, D, 4, (), ((2, 4),))],
 }
-
-# (seed, count, N, m): each fixed, or a range drawn from per vector, N before m; 2,000 vectors
-SEEDED_DRAWS = [(11, 500, 8, 8), (5, 100, 6, 4), (3, 100, 5, 5), (9, 200, 4, range(1, 9)),
-                (21, 300, range(2, 9), range(1, 9)), (13, 300, 8, 8),
-                (17, 200, 4, range(1, 9)), (19, 300, range(2, 9), range(1, 9))]
-
-
-def seeded_vectors(seed: int, count: int, n, width):
-    rng = random.Random(seed)
-    for _ in range(count):
-        size, m = (rng.randrange(r.start, r.stop) if isinstance(r, range) else r
-                   for r in (n, width))
-        yield [rng.randrange(1 << m) for _ in range(size)], m
 
 
 @ARCHS
@@ -100,21 +83,8 @@ def test_detected_units_are_done():
             assert engine.units[i].remainder == 0
 
 
-@ARCHS
-def test_ties_drain_one_per_cycle(arch):
-    # k equal inputs: one detection record, then k writes, one per tick
-    check_against_ticks(ENGINES[arch], [3, 3, 3, 7], 3, resume_every=True)
-
-
 @pytest.mark.parametrize("value, fires", [(6, [1] * 7 + [0]), (0, [1] + [0] * 7), (7, [1] * 8)],
                          ids=["fires_at_its_value", "zero_waits_for_zero", "top_fires_first"])
 def test_max_bit(value, fires):
     # 1 iff the value is at least the shared down counter (here 0 to 7)
     assert [max_bit(value, counter) for counter in range(8)] == fires
-
-
-@pytest.mark.parametrize("draw", SEEDED_DRAWS, ids=lambda draw: f"seed{draw[0]}")
-@ARCHS
-def test_seeded_vectors(arch, draw):
-    for values, m in seeded_vectors(*draw):
-        check_run(ENGINES[arch], values, m)
