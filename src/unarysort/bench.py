@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
+from .batcher import MAX_NETWORK_INPUTS
 from .bitstream import check_width, is_int_in
 from .max_sorter import MaxSortEngine
 from .min_sorter import MinSortEngine
@@ -30,8 +31,8 @@ from .trace import CycleTrace
 ENGINES = {"min": MinSortEngine, "max": MaxSortEngine}
 DISTS = ("gaussian", "uniform")
 # a run holds a trials x n matrix of int64 cycles: 78 MiB at both caps
-MAX_N = 1024           # the `network --n` cap
-MAX_TRIALS = 10_000    # ten times the default
+MAX_N = MAX_NETWORK_INPUTS  # `bench --n` takes the `network --n` cap
+MAX_TRIALS = 10_000         # ten times the default
 # trials sampled back to back between engine runs, so a run holds at most
 # one block besides the cycle matrix; over 1000 trials larger blocks were
 # not measurably faster than 64 (README, Speed)

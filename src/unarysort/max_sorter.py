@@ -10,15 +10,15 @@ the counter value at detection.
 from __future__ import annotations
 
 from collections.abc import Sequence
+# max_bit is the magnitude comparator, 1 (True) iff value >= counter.  It is a
+# builtin so that no Python frame is paid per compare.  No other package module
+# may bind operator.ge: the benchmark's self-test counts compares by replacing
+# max_bit under every package name bound to it, and would count those calls too.
+from operator import ge as max_bit
 
 from .bitstream import check_word
 from .engine import IterativeEngine
 from .trace import CycleTrace
-
-
-def max_bit(value: int, counter: int) -> int:
-    """Comparator output against the shared down counter: 1 iff value >= counter."""
-    return 1 if value >= counter else 0
 
 
 class MaxSortEngine(IterativeEngine):

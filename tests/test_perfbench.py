@@ -9,9 +9,12 @@ search cycle; ``test_engine_trace.py`` counts the calls of ``tick()``, the
 reference model, and checks ``run()`` by its outputs and trace.  It relies
 on the package keeping its shape: ``run`` and ``__init__`` in each engine
 class's own body, ``FsmGenerator.step`` and ``max_bit`` called once per
-in-play unit per search cycle and looked up at call time, the public engine
-classes looked up in ``bench.ENGINES`` by ``bench`` and ``cli`` and named in
-the ``sort_*`` helpers, and ``build_bitonic_network`` looked up by name at
+in-play unit per search cycle and looked up at call time, no package name
+but ``max_sorter.max_bit`` bound to ``operator.ge`` (the counting stand-in
+replaces ``max_bit`` under every name bound to it, so a call through any
+other would count as a compare), the public engine classes looked up in
+``bench.ENGINES`` by ``bench`` and ``cli`` and named in the ``sort_*``
+helpers, and ``build_bitonic_network`` looked up by name at
 each call, so that the ``batcher.build`` span counts every request for a
 network even though the network is cached.  The per-layer counts read one
 drain cycle per event of ``CycleTrace.events``, a new list built from the

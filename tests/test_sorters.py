@@ -1,6 +1,8 @@
 """The FSM min sorter and the comparator max sorter differ only in their unary number
 generator, so each behaviour they share is one test over ``bench.ENGINES`` (ids min/max)."""
 
+import operator
+
 import pytest
 
 from unarysort.bench import ENGINES
@@ -88,3 +90,8 @@ def test_detected_units_are_done():
 def test_max_bit(value, fires):
     # 1 iff the value is at least the shared down counter (here 0 to 7)
     assert [max_bit(value, counter) for counter in range(8)] == fires
+
+
+def test_max_bit_is_the_builtin_compare():
+    # a Python def would pay a frame per unit per search cycle
+    assert max_bit is operator.ge
