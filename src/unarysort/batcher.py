@@ -15,11 +15,13 @@ exact tuple in the kernel's loop on a fast path that a NamedTuple misses.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
-from .bitstream import UnaryStream, check_word
+from .bitstream import UnaryStream, check_word, is_int_in
 
 # a network holds N*log2(N)*(log2(N)+1)/4 CAS blocks and is cached per N, so
 # the input count of a sort (and of `network --n`) is capped
@@ -57,9 +59,9 @@ class CasNetwork:
 
 
 def _check_n(n: int) -> int:
-    if n < 2 or n & (n - 1):
+    if not is_int_in(n, 2, math.inf) or n & (n - 1):
         raise ValueError(f"input count must be a power of two >= 2, got {n}")
-    return n.bit_length() - 1
+    return operator.index(n).bit_length() - 1
 
 
 def cas_count(n: int) -> int:
@@ -71,7 +73,7 @@ def cas_count(n: int) -> int:
 @cache
 def build_bitonic_network(n: int) -> CasNetwork:
     """Standard bitonic construction; sorts ascending by lane index."""
-    _check_n(n)
+    n = 1 << _check_n(n)  # a plain int: the cache holds one network for 4 and np.int64(4)
     stages = []
     k = 2
     while k <= n:

@@ -18,12 +18,14 @@ The controller has the paper's two phases, and
 
 ``_search`` logs the last of its search cycles, and ``_drain`` a tie group's
 writes, one cycle each, as one record.  A subclass checks the input words,
-then its search length, and supplies the detector: ``_fire`` runs
-generation cycles in one local loop, either exactly one or every cycle up
-to and including the first that detects, and ``_value`` retrieves the
-detected value.  Search is capped at :data:`SEARCH_BUDGET` generation
-cycles: the inputs fix its length, so one that needs more (up to 2**32 at
-width 32) is refused when the engine is built.  Drain cycles are not capped.
+then its search length, and supplies the detector: ``_fire(once)`` runs
+generation cycles in one local loop, advancing ``elapsed``, either exactly
+one or every cycle up to and including the first that detects, and returns
+the indices of the units in play that fire in the last of them, in
+``in_play`` order; ``_value()`` retrieves the detected value.  Search is
+capped at :data:`SEARCH_BUDGET` generation cycles: the inputs fix its
+length, so one that needs more (up to 2**32 at width 32) is refused when the
+engine is built.  Drain cycles are not capped.
 
 Only units in play are evaluated, each once per search cycle by a
 ``FsmGenerator.step`` or ``max_bit`` call looked up when it is made, because
@@ -63,7 +65,8 @@ class IterativeEngine:
     width : int
         Data width in bits.
 
-    Call :meth:`tick` to advance one clock, or :meth:`run` to completion.
+    Call :meth:`tick` to advance one clock, or :meth:`run` to completion;
+    :meth:`sort` builds one and runs it.
     Engines share nothing and may run side by side; tick a given engine
     from one caller at a time.
     """
@@ -90,17 +93,6 @@ class IterativeEngine:
         if search_cycles > SEARCH_BUDGET:
             raise ValueError(f"search needs more than {SEARCH_BUDGET} generation "
                              f"cycles at width {self.width}; widths up to 16 fit")
-
-    def _fire(self, once: bool) -> tuple[int, ...]:
-        """Run generation cycles, advancing ``elapsed``: one if ``once``, else
-        every cycle up to and including the first that detects.  Returns the
-        indices of the units in play that fire in the last of them, in
-        ``in_play`` order."""
-        raise NotImplementedError
-
-    def _value(self) -> int:
-        """The value detected in the current tie group."""
-        raise NotImplementedError
 
     @property
     def done(self) -> bool:
@@ -161,3 +153,9 @@ class IterativeEngine:
                 self._search(once=False)
             self._drain(self.pending)
         return list(self.outputs)
+
+    @classmethod
+    def sort(cls, values: Sequence[int], width: int) -> tuple[list[int], CycleTrace]:
+        """Build the engine and run it; returns (outputs, trace)."""
+        engine = cls(values, width)
+        return engine.run(), engine.trace

@@ -18,7 +18,6 @@ from operator import ge as max_bit
 
 from .bitstream import check_word
 from .engine import IterativeEngine
-from .trace import CycleTrace
 
 
 class MaxSortEngine(IterativeEngine):
@@ -60,10 +59,4 @@ class MaxSortEngine(IterativeEngine):
         return (1 << self.width) - self.elapsed  # the counter, frozen at detection
 
 
-def sort_descending(
-    values: Sequence[int], width: int
-) -> tuple[list[int], CycleTrace]:
-    """Sort by iteratively detecting the maximum; returns (outputs, trace)."""
-    engine = MaxSortEngine(values, width)
-    outputs = engine.run()
-    return outputs, engine.trace
+sort_descending = MaxSortEngine.sort  # sorts by iteratively detecting the maximum

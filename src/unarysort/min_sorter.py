@@ -20,7 +20,6 @@ from collections.abc import Sequence
 
 from .engine import IterativeEngine
 from .generators import FsmGenerator
-from .trace import CycleTrace
 
 
 class MinSortEngine(IterativeEngine):
@@ -55,10 +54,4 @@ class MinSortEngine(IterativeEngine):
         return self.elapsed - 1
 
 
-def sort_ascending(
-    values: Sequence[int], width: int
-) -> tuple[list[int], CycleTrace]:
-    """Sort by iteratively detecting the minimum; returns (outputs, trace)."""
-    engine = MinSortEngine(values, width)
-    outputs = engine.run()
-    return outputs, engine.trace
+sort_ascending = MinSortEngine.sort  # sorts by iteratively detecting the minimum

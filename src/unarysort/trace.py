@@ -12,10 +12,6 @@ class Phase(Enum):
     DRAIN = "drain"    # generation stalls, one pending result written per cycle
 
 
-# a module global is read faster than an Enum member through its class
-_SEARCH, _DRAIN = Phase.SEARCH, Phase.DRAIN
-
-
 @dataclass(slots=True)
 class TraceEvent:
     """One record: a search cycle, or a tie group's run of drain cycles.
@@ -36,7 +32,7 @@ class TraceEvent:
     @property
     def phase(self) -> Phase:
         """DRAIN if the record writes, else SEARCH."""
-        return _DRAIN if self.writes else _SEARCH
+        return Phase.DRAIN if self.writes else Phase.SEARCH
 
     @property
     def detected_count(self) -> int:

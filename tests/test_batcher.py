@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from unarysort import batcher, bitstream
@@ -46,12 +47,13 @@ def per_bit_sort_streams(network, streams):
 
 class TestCasCount:
     @pytest.mark.parametrize(
-        "n,expected", [(2, 1), (8, 24), (16, 80), (32, 240), (256, 4608)]
+        "n,expected",
+        [(2, 1), (8, 24), (16, 80), (32, 240), (256, 4608), (np.int64(8), 24)],
     )
     def test_known_counts(self, n, expected):
         assert cas_count(n) == expected
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 6, 12])
+    @pytest.mark.parametrize("n", [0, 1, 3, 6, 12, 2.5, 4.0])
     def test_non_power_of_two_rejected(self, n):
         with pytest.raises(ValueError):
             cas_count(n)

@@ -35,6 +35,8 @@ class TestResourceCount:
             resources(Architecture.MIN_SORTER, 8, 0)
         with pytest.raises(ValueError):
             resources(Architecture.BATCHER, 6, 8)
+        with pytest.raises(ValueError, match=r"^unknown architecture: 'min'$"):
+            resources("min", 8, 8)
         for arch in Architecture:  # counts for a fractional N, or a TypeError
             with pytest.raises(ValueError) as info:
                 resources(arch, 8.5, 4)

@@ -1,10 +1,14 @@
 """The FSM min sorter and the comparator max sorter differ only in their unary number
 generator, so each behaviour they share is one test over ``bench.ENGINES`` (ids min/max)."""
 
+import importlib
 import operator
+import pkgutil
+import sys
 
 import pytest
 
+import unarysort
 from unarysort.bench import ENGINES
 from unarysort.max_sorter import max_bit
 from unarysort.trace import Phase
@@ -95,3 +99,11 @@ def test_max_bit(value, fires):
 def test_max_bit_is_the_builtin_compare():
     # a Python def would pay a frame per unit per search cycle
     assert max_bit is operator.ge
+    # the benchmark's compare count replaces operator.ge under every package
+    # name bound to it, so only max_sorter may bind it
+    for info in pkgutil.iter_modules(unarysort.__path__, "unarysort."):
+        importlib.import_module(info.name)
+    bound = [(name, attr) for name, module in sorted(sys.modules.items())
+             if name.startswith("unarysort.")
+             for attr, obj in vars(module).items() if obj is operator.ge]
+    assert bound == [("unarysort.max_sorter", "max_bit")]
