@@ -21,11 +21,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
-from .bitstream import UnaryStream, check_word, is_int_in
+from .bitstream import UnaryStream, check_count, check_word, is_int_in
 
-# a network holds N*log2(N)*(log2(N)+1)/4 CAS blocks and is cached per N, so
-# the input count of a sort (and of `network --n`) is capped
-MAX_NETWORK_INPUTS = 1024
 # a batch lane holds 2**width bits, one per cycle, so its width is capped
 MAX_BATCH_WIDTH = 16
 
@@ -108,9 +105,7 @@ def evaluate(network: CasNetwork, lanes: Sequence[int]) -> list[int]:
 
 
 def _validate_inputs(values: Sequence[int], width: int) -> None:
-    if len(values) > MAX_NETWORK_INPUTS:
-        raise ValueError(f"input count must be at most {MAX_NETWORK_INPUTS}, "
-                         f"got {len(values)}")
+    check_count(len(values))
     _check_n(len(values))
     for v in values:
         check_word(v, width)

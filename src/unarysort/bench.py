@@ -21,8 +21,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .batcher import MAX_NETWORK_INPUTS
-from .bitstream import check_width, is_int_in
+from .bitstream import MAX_SORT_INPUTS, check_width, is_int_in
 from .max_sorter import MaxSortEngine
 from .min_sorter import MinSortEngine
 from .trace import CycleTrace
@@ -30,8 +29,8 @@ from .trace import CycleTrace
 # the one place where an arch name becomes an engine class
 ENGINES = {"min": MinSortEngine, "max": MaxSortEngine}
 DISTS = ("gaussian", "uniform")
-# a run holds a trials x n matrix of int64 cycles: 78 MiB at both caps
-MAX_N = MAX_NETWORK_INPUTS  # `bench --n` takes the `network --n` cap
+# a run holds a trials x n matrix of int64 cycles: 78 MiB at MAX_TRIALS and
+# n = MAX_SORT_INPUTS, the cap of every sorter
 MAX_TRIALS = 10_000         # ten times the default
 # trials sampled back to back between engine runs, so a run holds at most
 # one block besides the cycle matrix; over 1000 trials larger blocks were
@@ -62,8 +61,8 @@ class BenchConfig:
             raise ValueError(f"bench supports arch 'min' or 'max', got {self.arch!r}")
         if self.dist not in DISTS:
             raise ValueError(f"unknown distribution {self.dist!r}")
-        if not is_int_in(self.n, 2, MAX_N):
-            raise ValueError(f"n must be in 2..{MAX_N}, got {self.n}")
+        if not is_int_in(self.n, 2, MAX_SORT_INPUTS):
+            raise ValueError(f"n must be in 2..{MAX_SORT_INPUTS}, got {self.n}")
         check_width(self.m)
         if not is_int_in(self.trials, 1, MAX_TRIALS):
             raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {self.trials}")
@@ -180,8 +179,6 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
 
     if cfg.input_path is not None:
         trials = load_trials(cfg.input_path)
-        if len(trials[0]) < 2:  # a row is a non-blank line, so it has a value
-            raise ValueError(f"{cfg.input_path}: row 1 has 1 value, need at least 2")
         for row, vec in enumerate(trials, start=1):
             if len(vec) != len(trials[0]):
                 noun = "value" if len(vec) == 1 else "values"
@@ -195,15 +192,15 @@ def run_bench(cfg: BenchConfig, check: bool = False) -> BenchResult:
         trials = _sampled(cfg)
 
     cycles = np.empty((cfg.trials, cfg.n), dtype=np.int64)
+    sort = ENGINES[cfg.arch].sort
     for i, values in enumerate(trials):
         try:
-            engine = ENGINES[cfg.arch](values, cfg.m)
+            outputs, trace = sort(values, cfg.m)
         except ValueError as exc:  # the engine checks the words; name a file's row
             if cfg.input_path is not None:
                 raise ValueError(f"{cfg.input_path}: row {i + 1}: {exc}") from None
             raise
-        outputs = engine.run()
-        measured = detection_cycles(engine.trace)
+        measured = detection_cycles(trace)
         if check:
             expected = oracle_cycles(cfg, values)
             if measured != expected:

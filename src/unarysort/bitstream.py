@@ -16,6 +16,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 MAX_WIDTH = 32
+# a sorter is hardware of N inputs: a network grows as N*log2(N)**2 and a
+# search cycle steps N units, so every sorter takes at most this many
+MAX_SORT_INPUTS = 1024
 
 
 def is_int_in(value, low: int, high: float) -> bool:
@@ -30,6 +33,12 @@ def check_width(width: int) -> None:
     """Raise ValueError unless the width is an integer with ``1 <= width <= 32``."""
     if not is_int_in(width, 1, MAX_WIDTH):
         raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+
+
+def check_count(n: int) -> None:
+    """Raise ValueError unless a sorter's input count is in ``2..1024``."""
+    if not 2 <= n <= MAX_SORT_INPUTS:
+        raise ValueError(f"input count must be in 2..{MAX_SORT_INPUTS}, got {n}")
 
 
 def check_word(value: int, width: int) -> None:

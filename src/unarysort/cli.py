@@ -17,12 +17,11 @@ import sys
 from collections.abc import Sequence
 from dataclasses import asdict, fields
 
-from .batcher import MAX_NETWORK_INPUTS, batcher_sort, build_bitonic_network
+from .batcher import batcher_sort, build_bitonic_network
 from .bench import (
     BLANKS,
     DISTS,
     ENGINES,
-    MAX_N,
     MAX_TRIALS,
     BenchConfig,
     OracleMismatch,
@@ -33,7 +32,7 @@ from .bench import (
     write_bench_csv,
     write_files,
 )
-from .bitstream import emission_str, written_str
+from .bitstream import MAX_SORT_INPUTS, check_count, emission_str, written_str
 from .cost import TABLE_M, TABLE_N, cost_table
 from .generators import counter_generate, fsm_generate
 
@@ -107,14 +106,13 @@ def cmd_sort(args) -> int:
     if args.arch == "batcher":
         outputs = batcher_sort(values, args.m)
     else:
-        engine = ENGINES[args.arch](values, args.m)
-        outputs = engine.run()
+        outputs, trace = ENGINES[args.arch].sort(values, args.m)
     if args.check:
         expected = sorted(values, reverse=(args.arch == "max"))
         if outputs != expected:
             raise OracleMismatch(f"{outputs} != {expected}")
     traces = () if args.trace is None else [
-        (args.trace, "\n".join(engine.trace.csv_rows()) + "\n")]
+        (args.trace, "\n".join(trace.csv_rows()) + "\n")]
     _write_or_print(",".join(str(v) for v in outputs) + "\n", args.output, traces)
     return EXIT_OK
 
@@ -145,27 +143,25 @@ def cmd_cost(args) -> int:
 
 def cmd_compare(args) -> int:
     values = _read_values(args.input)
-    # first: the network refuses an N that is too large or not a power of
-    # two, and is fast
+    # first: the network refuses an N that is out of range or not a power
+    # of two, and is fast
     network = batcher_sort(values, args.m)
-    ascending = ENGINES["min"](values, args.m).run()
-    descending = ENGINES["max"](values, args.m).run()
+    ascending, _ = ENGINES["min"].sort(values, args.m)
+    descending, _ = ENGINES["max"].sort(values, args.m)
+    agree = ascending == list(reversed(descending)) == network
+    # compared before anything is printed, so a failed check prints nothing
+    if args.check and not (agree and ascending == sorted(values)):
+        raise OracleMismatch("architectures disagree")
     print(f"input:      {values}")
     print(f"min engine: {ascending}")
     print(f"max engine: {descending}")
     print(f"batcher:    {network}")
-    agree = ascending == list(reversed(descending)) == network
-    if args.check:
-        reference = sorted(values)
-        if not (agree and ascending == reference):
-            raise OracleMismatch("architectures disagree")
     print(f"agreement:  {agree}")
     return EXIT_OK
 
 
 def cmd_network(args) -> int:
-    if args.n > MAX_NETWORK_INPUTS:
-        raise ValueError(f"--n must be at most {MAX_NETWORK_INPUTS}, got {args.n}")
+    check_count(args.n)
     print(build_bitonic_network(args.n).describe())
     return EXIT_OK
 
@@ -192,7 +188,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="cycle-count benchmark over random inputs")
     p.add_argument("--arch", choices=ENGINES)
-    p.add_argument("--n", type=_integer, help=f"inputs per trial, 2 to {MAX_N}")
+    p.add_argument("--n", type=_integer, help=f"inputs per trial, 2 to {MAX_SORT_INPUTS}")
     p.add_argument("--m", type=_integer)
     p.add_argument("--dist", choices=DISTS)
     p.add_argument("--mu", type=_decimal)
@@ -220,7 +216,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("network", help="dump a bitonic CAS network")
     p.add_argument("--n", type=_integer, default=8,
-                   help=f"input count, a power of two up to {MAX_NETWORK_INPUTS}")
+                   help=f"input count, a power of two up to {MAX_SORT_INPUTS}")
     p.set_defaults(func=cmd_network)
 
     return parser

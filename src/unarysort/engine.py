@@ -25,7 +25,8 @@ the indices of the units in play that fire in the last of them, in
 ``in_play`` order; ``_value()`` retrieves the detected value.  Search is
 capped at :data:`SEARCH_BUDGET` generation cycles: the inputs fix its
 length, so one that needs more (up to 2**32 at width 32) is refused when the
-engine is built.  Drain cycles are not capped.
+engine is built, as is a count outside 2..``bitstream.MAX_SORT_INPUTS`` =
+1024 (by ``check_count``, before any word is checked).  Drain is not capped.
 
 Only units in play are evaluated, each once per search cycle by a
 ``FsmGenerator.step`` or ``max_bit`` call looked up when it is made, because
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .bitstream import check_count
 from .trace import CycleTrace, Phase, TraceEvent
 
 # the most generation cycles a width-16 input needs (min detects 2**16 - 1,
@@ -61,7 +63,7 @@ class IterativeEngine:
     Parameters
     ----------
     values : sequence of int
-        Unsorted input words, at least two.
+        Unsorted input words, 2 to ``bitstream.MAX_SORT_INPUTS``.
     width : int
         Data width in bits.
 
@@ -74,8 +76,7 @@ class IterativeEngine:
     arch: str
 
     def __init__(self, values: Sequence[int], width: int):
-        if len(values) < 2:
-            raise ValueError("need at least two inputs to sort")
+        check_count(len(values))
         self.width = width
         self.n = len(values)
         # inputs whose detection flip-flop is clear; each sorter puts them in

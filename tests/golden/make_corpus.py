@@ -19,8 +19,11 @@ By default each command runs in process through ``unarysort.cli.main`` and
 each demo through ``runpy``; ``--entry-point`` runs the installed
 ``unarysort`` command and each demo in a fresh interpreter instead.
 ``tests/test_golden.py`` writes the corpus from this case list and compares
-it with ``tests/golden/corpus/``.  To regenerate after an intended output
-change: ``PYTHONPATH=src python tests/golden/make_corpus.py tests/golden/corpus``.
+it with ``tests/golden/corpus/``.  ``OUTDIR`` must be empty or missing, so
+that no file of a dropped case stays behind.  To regenerate after an
+intended output change::
+
+    rm -r tests/golden/corpus && PYTHONPATH=src python tests/golden/make_corpus.py tests/golden/corpus
 """
 
 from __future__ import annotations
@@ -178,6 +181,10 @@ CASES = [
                                               "--output", "sort_batcher_past_cap.csv"]),
                             ("compare", ["compare"]))
       for n in (1025, 2048)],
+    # the min and max sorters take the same count cap, checked before any unit runs
+    *[(f"sort_{arch}_1025", ["sort", "--arch", arch, "--input", "ones1025.csv", "--m", "3",
+                             "--output", f"sort_{arch}_1025.csv"])
+      for arch in ("min", "max")],
     ("compare_over_budget", ["compare", "--input", "over_budget.csv", "--m", "32"]),
     ("bench_over_budget", ["bench", "--n", "2", "--m", "32", "--mu", "4e9", "--sigma", "0",
                            "--trials", "1"]),
@@ -237,6 +244,8 @@ def generate(outdir: Path, entry_point: bool = False) -> None:
     """Write every input and case output into ``outdir``, then digest the big files."""
     outdir = Path(outdir).resolve()
     outdir.mkdir(parents=True, exist_ok=True)
+    if any(outdir.iterdir()):
+        raise FileExistsError(f"{outdir} is not empty; remove it first")
     for name, text in INPUTS.items():
         (outdir / name).write_text(text + "\n", encoding="utf-8")
     run = _entry_point if entry_point else _in_process

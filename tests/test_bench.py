@@ -5,7 +5,6 @@ import pytest
 
 from unarysort import bench
 from unarysort.bench import (
-    MAX_N,
     MAX_TRIALS,
     SAMPLE_BLOCK,
     BenchConfig,
@@ -16,6 +15,7 @@ from unarysort.bench import (
     sample_trial,
     write_bench_csv,
 )
+from unarysort.bitstream import MAX_SORT_INPUTS
 from unarysort.min_sorter import MinSortEngine
 
 
@@ -42,7 +42,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="sigma must be >= 0"):
             BenchConfig(sigma=-1.0)
 
-    @pytest.mark.parametrize("field, low, cap", [("n", 2, MAX_N), ("trials", 1, MAX_TRIALS)])
+    @pytest.mark.parametrize("field, low, cap",
+                             [("n", 2, MAX_SORT_INPUTS), ("trials", 1, MAX_TRIALS)])
     def test_bounds(self, field, low, cap):
         for value in (low, cap):
             assert getattr(BenchConfig(**{field: value}), field) == value
@@ -125,12 +126,13 @@ class TestAggregates:
             sampled.append(trial)
             return sample_trial(cfg, trial)
 
-        def counted_build(values, width):
-            builds[0] += 1
-            return MinSortEngine(values, width)
+        class CountedEngine(MinSortEngine):
+            def __init__(self, values, width):
+                builds[0] += 1
+                super().__init__(values, width)
 
         monkeypatch.setattr(bench, "sample_trial", sample)
-        monkeypatch.setitem(bench.ENGINES, "min", counted_build)
+        monkeypatch.setitem(bench.ENGINES, "min", CountedEngine)
         result = run_bench(cfg, check=True)
         assert sampled == list(range(trials))
         assert result.mean_cycles == [float(v) for v in cycles.mean(axis=0)]
@@ -155,7 +157,8 @@ class TestOutput:
         assert uniform_meta["seed"] == 1 and "rng" in uniform_meta
 
     @pytest.mark.parametrize("text, message", [
-        ("1," * MAX_N + "1\n", f"n must be in 2..{MAX_N}, got {MAX_N + 1}"),
+        ("1," * MAX_SORT_INPUTS + "1\n",
+         f"n must be in 2..{MAX_SORT_INPUTS}, got {MAX_SORT_INPUTS + 1}"),
         ("1,2\n" * (MAX_TRIALS + 1), f"trials must be in 1..{MAX_TRIALS}, got {MAX_TRIALS + 1}"),
     ], ids=["columns", "rows"])
     def test_file_past_a_cap_names_the_file(self, tmp_path, text, message):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from unarysort.batcher import batcher_sort, batcher_sort_batch
 from unarysort.bench import BenchConfig
 from unarysort.cost import Architecture, resources
 from unarysort.generators import FsmGenerator, counter_generate, fsm_generate
@@ -15,6 +16,7 @@ from unarysort.min_sorter import MinSortEngine, sort_ascending
 from unarysort.bitstream import (
     BinaryValue,
     UnaryStream,
+    check_count,
     check_word,
     decode,
     emission_str,
@@ -65,6 +67,18 @@ def test_one_width_rule(make, width):
     with pytest.raises(ValueError) as caught:
         make(width)
     assert str(caught.value) == f"width must be in 1..32, got {width}"
+
+
+# the count is tested before any word: each word here is unrepresentable at width 3
+@pytest.mark.parametrize("n", [0, 1, 1025])
+@pytest.mark.parametrize("make", [
+    lambda values, width: check_count(len(values)),
+    MinSortEngine, MaxSortEngine, batcher_sort, batcher_sort_batch,
+], ids=["check_count", "MinSortEngine", "MaxSortEngine", "batcher_sort", "batcher_sort_batch"])
+def test_one_count_rule(make, n):
+    with pytest.raises(ValueError) as caught:
+        make([8] * n, 3)
+    assert str(caught.value) == f"input count must be in 2..1024, got {n}"
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])

@@ -12,10 +12,10 @@ status (``<case>.exit``) and stderr (``<case>.stderr``), with the listing
 showing that it wrote no file.  The corpus is written once per test run, in
 process, from that list, and compared file by file with ``golden/corpus/``;
 a file too big to read in a diff is compared by its SHA-256 line in
-``SHA256SUMS``.  An intended output change regenerates only the files it
-names (see ``make_corpus.py``); ``SAME`` lists the files that must stay equal
-when one of them is regenerated.  A case's files carry its behaviour's name,
-so a failure names every behaviour that changed.
+``SHA256SUMS``.  An intended output change regenerates the corpus into an
+empty directory (see ``make_corpus.py``), so git shows the files it changed;
+``SAME`` lists the files that must stay equal.  A case's files carry its
+behaviour's name, so a failure names every behaviour that changed.
 
 The corpus is the check of the ``bench`` CSVs and sidecars, the ``cost``
 table and the trace CSVs; the library tests do not repeat it.
@@ -23,19 +23,23 @@ table and the trace CSVs; the library tests do not repeat it.
 
 from pathlib import Path
 
+import pytest
+
 from golden import make_corpus
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus"
 
 # pairs of corpus files that hold one behaviour seen two ways: a leading BOM
 # is dropped, blanks around an argument change nothing, the default grid is
-# the explicit one, and cost refuses a batcher input count as sort does
+# the explicit one, cost refuses a batcher input count as sort does, and
+# every sorter refuses a count past the cap alike
 SAME = [
     *[(f"{command}_bom.stdout", f"{command}_plain.stdout")
       for command in ("sort", "compare", "bench")],
     ("generate_blanks_5_m3.stdout", "generate_5_m3.stdout"),
     ("cost_default_grid.stdout", "cost.stdout"),
     ("cost_3_3.stderr", "sort_batcher_3.stderr"),
+    *[(f"sort_{arch}_1025.stderr", "sort_batcher_1025.stderr") for arch in ("min", "max")],
 ]
 
 
@@ -58,6 +62,14 @@ def test_corpus_is_unchanged(tmp_path):
                  for name in sorted(stored.keys() | fresh.keys())
                  if stored.get(name) != fresh.get(name)]
     assert not differing, "\n".join(differing)
+
+
+def test_a_corpus_is_written_into_an_empty_directory_only(tmp_path):
+    # a file of a dropped case would stay behind and fail the comparison
+    (tmp_path / "bench_n1.exit").write_text("1\n")
+    with pytest.raises(FileExistsError, match="is not empty"):
+        make_corpus.generate(tmp_path)
+    assert [path.name for path in tmp_path.iterdir()] == ["bench_n1.exit"]
 
 
 def test_related_files_are_equal():

@@ -13,8 +13,10 @@ in-play unit per search cycle and looked up at call time, no package name
 but ``max_sorter.max_bit`` bound to ``operator.ge`` (the counting stand-in
 replaces ``max_bit`` under every name bound to it, so a call through any
 other would count as a compare), the public engine classes looked up in
-``bench.ENGINES`` by ``bench`` and ``cli`` and bound as ``sort_ascending =
-MinSortEngine.sort`` and ``sort_descending = MaxSortEngine.sort``, and ``build_bitonic_network`` looked up by name at
+``bench.ENGINES`` by ``bench`` and ``cli``, which run every iterative sort
+through the class's ``sort`` (it calls ``__init__`` and ``run`` through the
+class, so their wrappers fire), ``sort_ascending = MinSortEngine.sort`` and
+``sort_descending = MaxSortEngine.sort``, and ``build_bitonic_network`` looked up by name at
 each call, so that the ``batcher.build`` span counts every request for a
 network even though the network is cached.  The per-layer counts read one
 drain cycle per event of ``CycleTrace.events``, a new list built from the

@@ -27,13 +27,6 @@ WORKED = {
 }
 
 
-@ARCHS
-def test_too_few_inputs(arch):
-    for values in ([], [1]):
-        with pytest.raises(ValueError, match="^need at least two inputs to sort$"):
-            ENGINES[arch](values, 3)
-
-
 @pytest.mark.parametrize("values, orders", [([4, 6, 4], ([0, 2, 1], [1, 0, 2])),
                                             ([0, 0], ([0, 1], [0, 1]))], ids=["4-6-4", "zeros"])
 def test_registers_at_construction(values, orders):
