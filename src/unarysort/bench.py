@@ -27,7 +27,7 @@ from .min_sorter import MinSortEngine
 from .trace import CycleTrace
 
 # the one place where an arch name becomes an engine class
-ENGINES = {"min": MinSortEngine, "max": MaxSortEngine}
+ENGINES = {engine.arch: engine for engine in (MinSortEngine, MaxSortEngine)}
 DISTS = ("gaussian", "uniform")
 # a run holds a trials x n matrix of int64 cycles: 78 MiB at MAX_TRIALS and
 # n = MAX_SORT_INPUTS, the cap of every sorter
@@ -58,7 +58,8 @@ class BenchConfig:
 
     def __post_init__(self):
         if self.arch not in ENGINES:
-            raise ValueError(f"bench supports arch 'min' or 'max', got {self.arch!r}")
+            archs = " or ".join(map(repr, ENGINES))
+            raise ValueError(f"bench supports arch {archs}, got {self.arch!r}")
         if self.dist not in DISTS:
             raise ValueError(f"unknown distribution {self.dist!r}")
         if not is_int_in(self.n, 2, MAX_SORT_INPUTS):
@@ -82,7 +83,7 @@ def sample_trial(cfg: BenchConfig, trial: int) -> list[int]:
     top = (1 << cfg.m) - 1
     if cfg.dist == "gaussian":
         raw = rng.normal(cfg.mu, cfg.sigma, cfg.n)
-        return np.clip(np.rint(raw), 0, top).astype(np.int64).tolist()
+        return np.rint(raw).clip(0, top).astype(np.int64).tolist()
     return rng.integers(0, top + 1, cfg.n).tolist()
 
 

@@ -101,10 +101,6 @@ class UnaryStream:
     def __len__(self) -> int:
         return self.length
 
-    @property
-    def popcount(self) -> int:
-        return self.lane.bit_count()
-
 
 def encode_right_aligned(value: int, width: int) -> UnaryStream:
     """Reference encoding: exactly ``value`` ones followed by zeros.
@@ -125,7 +121,7 @@ def decode(stream: UnaryStream) -> BinaryValue:
     if length < 2 or length & (length - 1):
         raise ValueError(f"stream length {length} is not a power of two >= 2")
     width = length.bit_length() - 1
-    return BinaryValue(stream.popcount, width)
+    return BinaryValue(stream.lane.bit_count(), width)
 
 
 def emission_str(stream: UnaryStream) -> str:

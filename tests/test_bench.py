@@ -67,6 +67,12 @@ class TestSampling:
         values = sample_trial(cfg, 0)
         assert all(0 <= v <= 15 for v in values)
 
+    def test_rounds_half_to_even_then_clamps(self):
+        # sigma = 0 draws the mean itself, so each draw is the mean rounded
+        for mu, sampled in ((2.5, 2), (3.5, 4), (-0.5, 0), (15.5, 15), (1e300, 15)):
+            cfg = BenchConfig(n=2, m=4, mu=mu, sigma=0.0, trials=1, seed=0)
+            assert sample_trial(cfg, 0) == [sampled, sampled], mu
+
     def test_per_trial_seeding(self):
         cfg = BenchConfig(n=8, m=8, trials=2, seed=42)
         assert sample_trial(cfg, 0) != sample_trial(cfg, 1)

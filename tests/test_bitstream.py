@@ -163,7 +163,7 @@ class TestPackedLane:
                 assert stream.bits == bits and type(stream.bits) is tuple
                 assert all(type(b) is int for b in stream.bits)
                 assert len(stream) == stream.length == len(bits)
-                assert stream.popcount == sum(bits)
+                assert stream.lane.bit_count() == sum(bits)
 
     def test_lane_bit_t_is_cycle_t_plus_one(self):
         assert UnaryStream((1, 0, 0, 1, 1)).lane == 0b11001
@@ -202,7 +202,7 @@ class TestDisplay:
         for bits in ((0, 2, 1), (1, -1), (2,), (-1,)):
             with pytest.raises(ValueError):
                 UnaryStream(bits)
-        assert UnaryStream((True, False, 0, 1)).popcount == 2
+        assert UnaryStream((True, False, 0, 1)).lane.bit_count() == 2
 
 
 class TestRoundTrip:
