@@ -21,10 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
-from .bitstream import UnaryStream, check_count, check_word, is_int_in
-
-# a batch lane holds 2**width bits, one per cycle, so its width is capped
-MAX_BATCH_WIDTH = 16
+from .bitstream import UnaryStream, check_count, check_stream_width, check_word, is_int_in
 
 
 @dataclass(frozen=True)
@@ -70,6 +67,7 @@ def cas_count(n: int) -> int:
 @cache
 def build_bitonic_network(n: int) -> CasNetwork:
     """Standard bitonic construction; sorts ascending by lane index."""
+    check_count(n)  # networks are cached per N, and grow as N*log2(N)**2
     n = 1 << _check_n(n)  # a plain int: the cache holds one network for 4 and np.int64(4)
     stages = []
     k = 2
@@ -104,11 +102,12 @@ def evaluate(network: CasNetwork, lanes: Sequence[int]) -> list[int]:
     return lanes
 
 
-def _validate_inputs(values: Sequence[int], width: int) -> None:
-    check_count(len(values))
-    _check_n(len(values))
+def _validate_inputs(values: Sequence[int], width: int) -> CasNetwork:
+    """The network for ``len(values)`` inputs, once each word is checked."""
+    network = build_bitonic_network(len(values))
     for v in values:
         check_word(v, width)
+    return network
 
 
 def batcher_sort(values: Sequence[int], width: int) -> list[int]:
@@ -119,23 +118,18 @@ def batcher_sort(values: Sequence[int], width: int) -> list[int]:
     cycles.  Each input lane is a prefix of spans, and AND/OR keep it one, so
     an output lane with j spans set is 1 in cycles ``0 .. starts[j] - 1``.
     """
-    _validate_inputs(values, width)
+    network = _validate_inputs(values, width)
     starts = sorted({0, *values})  # span k covers cycles starts[k] .. starts[k+1] - 1
     span = {v: k for k, v in enumerate(starts)}
     lanes = [(1 << span[v]) - 1 for v in values]  # bit k set iff v > starts[k]
-    return [
-        starts[lane.bit_count()]
-        for lane in evaluate(build_bitonic_network(len(values)), lanes)
-    ]
+    return [starts[lane.bit_count()] for lane in evaluate(network, lanes)]
 
 
 def batcher_sort_batch(values: Sequence[int], width: int) -> list[int]:
     """Whole-stream evaluation: each lane is an integer bitmask with one bit
     per cycle, each CAS a single AND/OR.  Oracle for :func:`batcher_sort`."""
-    _validate_inputs(values, width)
-    if width > MAX_BATCH_WIDTH:
-        raise ValueError(f"batch width must be at most {MAX_BATCH_WIDTH}, got {width}")
-    network = build_bitonic_network(len(values))
+    check_stream_width(width)  # a lane holds 2**width bits, one per cycle
+    network = _validate_inputs(values, width)
     lanes = [(1 << v) - 1 for v in values]  # bit t set iff t < v, as emitted
     return [lane.bit_count() for lane in evaluate(network, lanes)]
 

@@ -16,6 +16,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 MAX_WIDTH = 32
+# a word of width m plays out as 2**m bits: the one limit on a stream's length
+MAX_STREAM_WIDTH = 16
 # a sorter is hardware of N inputs: a network grows as N*log2(N)**2 and a
 # search cycle steps N units, so every sorter takes at most this many
 MAX_SORT_INPUTS = 1024
@@ -36,9 +38,16 @@ def check_width(width: int) -> None:
 
 
 def check_count(n: int) -> None:
-    """Raise ValueError unless a sorter's input count is in ``2..1024``."""
-    if not 2 <= n <= MAX_SORT_INPUTS:
+    """Raise ValueError unless a sorter's input count is an integer in ``2..1024``."""
+    if not is_int_in(n, 2, MAX_SORT_INPUTS):
         raise ValueError(f"input count must be in 2..{MAX_SORT_INPUTS}, got {n}")
+
+
+def check_stream_width(width: int) -> None:
+    """Raise ValueError unless the width is valid and at most ``MAX_STREAM_WIDTH``."""
+    check_width(width)
+    if width > MAX_STREAM_WIDTH:
+        raise ValueError(f"stream width must be at most {MAX_STREAM_WIDTH}, got {width}")
 
 
 def check_word(value: int, width: int) -> None:

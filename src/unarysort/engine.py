@@ -23,10 +23,11 @@ generation cycles in one local loop, advancing ``elapsed``, either exactly
 one or every cycle up to and including the first that detects, and returns
 the indices of the units in play that fire in the last of them, in
 ``in_play`` order; ``_value()`` retrieves the detected value.  Search is
-capped at :data:`SEARCH_BUDGET` generation cycles: the inputs fix its
-length, so one that needs more (up to 2**32 at width 32) is refused when the
-engine is built, as is a count outside 2..``bitstream.MAX_SORT_INPUTS`` =
-1024 (by ``check_count``, before any word is checked).  Drain is not capped.
+capped at :data:`SEARCH_BUDGET` generation cycles, the length of a stream
+at ``bitstream.MAX_STREAM_WIDTH``: the inputs fix its length, so one that
+needs more (up to 2**32 at width 32) is refused when the engine is built,
+as is a count outside 2..``bitstream.MAX_SORT_INPUTS`` = 1024 (by
+``check_count``, before any word is checked).  Drain is not capped.
 
 Only units in play are evaluated, each once per search cycle by a
 ``FsmGenerator.step`` or ``max_bit`` call looked up when it is made, because
@@ -49,12 +50,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bitstream import check_count
+from .bitstream import MAX_STREAM_WIDTH, check_count
 from .trace import CycleTrace, Phase, TraceEvent
 
-# the most generation cycles a width-16 input needs (min detects 2**16 - 1,
-# max detects 0, both at cycle 2**16), so every width up to 16 sorts
-SEARCH_BUDGET = 1 << 16
+# the most generation cycles an input at the stream-width limit needs (min
+# detects 2**m - 1, max detects 0, both at cycle 2**m), so every width up to it sorts
+SEARCH_BUDGET = 1 << MAX_STREAM_WIDTH
 
 
 class IterativeEngine:
@@ -93,7 +94,7 @@ class IterativeEngine:
         """Refuse an input whose search needs more than SEARCH_BUDGET cycles."""
         if search_cycles > SEARCH_BUDGET:
             raise ValueError(f"search needs more than {SEARCH_BUDGET} generation "
-                             f"cycles at width {self.width}; widths up to 16 fit")
+                             f"cycles at width {self.width}; widths up to {MAX_STREAM_WIDTH} fit")
 
     @property
     def done(self) -> bool:

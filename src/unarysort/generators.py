@@ -13,7 +13,7 @@ clock cycle:
 
 from __future__ import annotations
 
-from .bitstream import UnaryStream, check_word
+from .bitstream import UnaryStream, check_stream_width, check_word
 
 
 class FsmGenerator:
@@ -51,6 +51,7 @@ class FsmGenerator:
 def fsm_generate(value: int, width: int) -> UnaryStream:
     """Run an :class:`FsmGenerator` for a full stream of ``2**width`` bits."""
     unit = FsmGenerator(value, width)
+    check_stream_width(width)
     return UnaryStream(tuple(unit.step() for _ in range(1 << width)))
 
 
@@ -63,6 +64,7 @@ def counter_generate(value: int, width: int) -> UnaryStream:
     popcount.
     """
     check_word(value, width)
+    check_stream_width(width)
     length = 1 << width
     return UnaryStream(
         tuple(1 if value > counter else 0 for counter in range(length - 1, -1, -1))

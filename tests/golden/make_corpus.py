@@ -23,7 +23,8 @@ it with ``tests/golden/corpus/``.  ``OUTDIR`` must be empty or missing, so
 that no file of a dropped case stays behind.  To regenerate after an
 intended output change::
 
-    rm -r tests/golden/corpus && PYTHONPATH=src python tests/golden/make_corpus.py tests/golden/corpus
+    rm -r tests/golden/corpus &&
+        PYTHONPATH=src python tests/golden/make_corpus.py tests/golden/corpus
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from unarysort.batcher import batcher_sort, batcher_sort_batch
+from unarysort import batcher, generators
+from unarysort.batcher import batcher_sort, batcher_sort_batch, build_bitonic_network
 from unarysort.bench import BenchConfig
 from unarysort.cost import Architecture, resources
 from unarysort.generators import FsmGenerator, counter_generate, fsm_generate
@@ -70,15 +71,34 @@ def test_one_width_rule(make, width):
 
 
 # the count is tested before any word: each word here is unrepresentable at width 3
-@pytest.mark.parametrize("n", [0, 1, 1025])
+@pytest.mark.parametrize("n", [0, 1, 1025, 2048])
 @pytest.mark.parametrize("make", [
     lambda values, width: check_count(len(values)),
     MinSortEngine, MaxSortEngine, batcher_sort, batcher_sort_batch,
-], ids=["check_count", "MinSortEngine", "MaxSortEngine", "batcher_sort", "batcher_sort_batch"])
+    lambda values, width: build_bitonic_network(len(values)),
+], ids=["check_count", "MinSortEngine", "MaxSortEngine", "batcher_sort", "batcher_sort_batch",
+        "build"])
 def test_one_count_rule(make, n):
     with pytest.raises(ValueError) as caught:
         make([8] * n, 3)
     assert str(caught.value) == f"input count must be in 2..1024, got {n}"
+
+
+# a whole stream or batch lane holds 2**width bits: a width past the limit is
+# refused before any cycle loop starts or any network is built
+@pytest.mark.parametrize("width", [17, 32])
+@pytest.mark.parametrize("make", [
+    fsm_generate, counter_generate, lambda value, width: batcher_sort_batch([value, 0], width),
+], ids=["fsm_generate", "counter_generate", "batcher_sort_batch"])
+def test_one_stream_width_rule(make, width, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built past the stream-width limit")
+
+    monkeypatch.setattr(generators, "range", refuse, raising=False)
+    monkeypatch.setattr(batcher, "build_bitonic_network", refuse)
+    with pytest.raises(ValueError) as caught:
+        make(1, width)
+    assert str(caught.value) == f"stream width must be at most 16, got {width}"
 
 
 @pytest.mark.parametrize("engine_cls", [MinSortEngine, MaxSortEngine])
